@@ -2,20 +2,11 @@
 
 A low-latency lossy wavelet base layer plus a losslessly coded residual
 extension, muxed into one container whose base substream decodes standalone.
+Stage-level functions live in the submodules.
 """
 
-from .base import (
-    LOSSLESS_BASE,
-    BaseConfig,
-    decode_base,
-    dequantize_deadzone,
-    encode_base,
-    parse_base_header,
-    quantize_deadzone,
-    rate_control,
-)
-from .container import ContainerMeta, decode_base_only, demux, mux
-from .dwt import decompose, dwt_forward_53, dwt_inverse_53, recompose
+from .base import LOSSLESS_BASE, BaseConfig
+from .container import decode_base_only
 from .errors import (
     BadMagicError,
     BitstreamError,
@@ -26,29 +17,9 @@ from .errors import (
     MissingLayerError,
     PnmError,
 )
-from .image import INFINITE, Metrics, PlanarImage, bits_per_pixel, measure, psnr
-from .pipeline import (
-    DecodeResult,
-    SweepRow,
-    bench_sweep,
-    decode_two_layer,
-    encode_two_layer,
-    rows_to_csv,
-)
+from .pipeline import DecodeResult, decode_two_layer, encode_two_layer
 from .pnm import load_pnm, store_pnm
-from .residual import (
-    LosslessCoderId,
-    ResidualPlane,
-    compute_residual,
-    dc_shift,
-    dc_unshift,
-    decode_predictive,
-    decode_wavelet_lossless,
-    encode_predictive,
-    encode_wavelet_lossless,
-    med_predict,
-)
-from .rice import choose_rice_k, decode_band, encode_band
+from .residual import LosslessCoderId
 
 __version__ = "0.1.0"
 
@@ -59,49 +30,15 @@ __all__ = [
     "ChecksumError",
     "CodecError",
     "ContainerError",
-    "ContainerMeta",
     "DecodeResult",
-    "INFINITE",
     "LOSSLESS_BASE",
     "LengthMismatchError",
     "LosslessCoderId",
-    "Metrics",
     "MissingLayerError",
-    "PlanarImage",
     "PnmError",
-    "ResidualPlane",
-    "SweepRow",
-    "bench_sweep",
-    "bits_per_pixel",
-    "choose_rice_k",
-    "compute_residual",
-    "dc_shift",
-    "dc_unshift",
-    "decode_band",
-    "decode_base",
     "decode_base_only",
-    "decode_predictive",
     "decode_two_layer",
-    "decode_wavelet_lossless",
-    "decompose",
-    "demux",
-    "dequantize_deadzone",
-    "dwt_forward_53",
-    "dwt_inverse_53",
-    "encode_band",
-    "encode_base",
-    "encode_predictive",
     "encode_two_layer",
-    "encode_wavelet_lossless",
     "load_pnm",
-    "measure",
-    "med_predict",
-    "mux",
-    "parse_base_header",
-    "psnr",
-    "quantize_deadzone",
-    "rate_control",
-    "recompose",
-    "rows_to_csv",
     "store_pnm",
 ]

@@ -12,15 +12,15 @@ Payload layout (big-endian)::
 
     "XSB1" | width u32 | height u32 | components u8 | bit_depth u8 |
     (levels_h << 4 | levels_v) u8 |
-    per coded band: step u16, rice k u8, coded length in bits u32 |
-    per coded band: entropy bits, byte-aligned, zero-padded
+    per band: step u16, rice k u8, coded length in bits u32 |
+    band section of the bands with a nonzero coded length (see :mod:`tlxs.rice`)
 
 Bands are ordered component-major, canonical band order within each
 component (see :mod:`tlxs.dwt`). A declared coded length of 0 means every
-quantized index in that band is zero and no entropy bits follow; without
-this, coarse streams could never drop below one bit per coefficient and
-sub-bpp rate targets would be unreachable. The payload is a pure function
-of ``(image, config)``.
+quantized index in that band is zero and the band is absent from the band
+section; without this, coarse streams could never drop below one bit per
+coefficient and sub-bpp rate targets would be unreachable. The payload is a
+pure function of ``(image, config)``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import dwt, rice
-from .bitio import BitReader, BitWriter
 from .errors import BitstreamError, CodecError
 from .image import PlanarImage
 
@@ -127,14 +126,8 @@ def dequantize_deadzone(index, step: int):
     return np.sign(i) * (np.abs(i) * step + step // 2)
 
 
-def _band_gain(name: str) -> float:
-    # Uniform weighting for now; kept as a hook so a perceptual profile only
-    # has to touch this function and nothing downstream.
-    return 1.0
-
-
-def _step_for_scale(scale: float, gain: float) -> int:
-    return max(1, min(MAX_STEP, math.floor(scale * gain + 0.5)))
+def _step_for_scale(scale: float) -> int:
+    return max(1, min(MAX_STEP, math.floor(scale + 0.5)))
 
 
 def _decompose_image(image: PlanarImage, config: BaseConfig) -> list[list[np.ndarray]]:
@@ -144,26 +137,16 @@ def _decompose_image(image: PlanarImage, config: BaseConfig) -> list[list[np.nda
     ]
 
 
-def _coded_sizes(
-    comp_bands: list[list[np.ndarray]], steps: Sequence[int]
-) -> tuple[list[list[tuple[int, int]]], int]:
-    """Per-band (k, bits) plus total payload size in bytes for these steps."""
-    n_records = len(comp_bands) * len(steps)
-    total = _FIXED.size + _RECORD.size * n_records
-    per_comp: list[list[tuple[int, int]]] = []
+def _coded_size(comp_bands: list[list[np.ndarray]], steps: Sequence[int]) -> int:
+    """Total payload size in bytes for these steps."""
+    total = _FIXED.size + _RECORD.size * len(comp_bands) * len(steps)
     for bands in comp_bands:
-        entries = []
         for band, step in zip(bands, steps):
             indices = quantize_deadzone(band, step)
-            if not indices.size or not indices.any():
-                entries.append((0, 0))
-                continue
-            k = rice.choose_rice_k(indices)
-            bits = rice.rice_bit_cost(indices, k)
-            entries.append((k, bits))
-            total += (bits + 7) // 8
-        per_comp.append(entries)
-    return per_comp, total
+            if indices.any():
+                k = rice.choose_rice_k(indices)
+                total += (rice.rice_bit_cost(indices, k) + 7) // 8
+    return total
 
 
 def rate_control(image: PlanarImage, config: BaseConfig) -> tuple[tuple[int, ...], bool]:
@@ -177,17 +160,13 @@ def rate_control(image: PlanarImage, config: BaseConfig) -> tuple[tuple[int, ...
 def _rate_control_on_bands(
     comp_bands: list[list[np.ndarray]], image: PlanarImage, config: BaseConfig
 ) -> tuple[tuple[int, ...], bool]:
-    layout = dwt.band_dimensions(
-        image.width, image.height, config.levels_h, config.levels_v
-    )
-    gains = [_band_gain(name) for name, _, _ in layout]
+    n_bands = len(comp_bands[0])
 
     def steps_for(scale: float) -> tuple[int, ...]:
-        return tuple(_step_for_scale(scale, g) for g in gains)
+        return (_step_for_scale(scale),) * n_bands
 
     def size_bits(scale: float) -> int:
-        _, total = _coded_sizes(comp_bands, steps_for(scale))
-        return 8 * total
+        return 8 * _coded_size(comp_bands, steps_for(scale))
 
     budget = config.target_bpp * (1.0 + config.rate_tolerance) * image.pixel_count
     lo, hi = 1.0, MAX_SCALE
@@ -208,28 +187,24 @@ def _rate_control_on_bands(
 def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeResult:
     """Encode and also report the chosen steps and the overshoot flag."""
     comp_bands = _decompose_image(image, config)
-    layout = dwt.band_dimensions(
-        image.width, image.height, config.levels_h, config.levels_v
-    )
     if config.target_bpp is None:
-        steps: tuple[int, ...] = tuple(1 for _ in layout)
+        steps: tuple[int, ...] = (1,) * len(comp_bands[0])
         overshoot = False
     else:
         steps, overshoot = _rate_control_on_bands(comp_bands, image, config)
 
-    writer = BitWriter()
-    records = []
-    for bands in comp_bands:
-        for band, step in zip(bands, steps):
-            indices = quantize_deadzone(band, step)
-            if not indices.size or not indices.any():
-                records.append((step, 0, 0))
-                continue
-            k = rice.choose_rice_k(indices)
-            bits = rice.encode_band(indices, k)
-            records.append((step, k, bits.size))
-            writer.write_bit_array(bits)
-            writer.align()
+    # Quantized lazily, so only one band's indices and bits are alive at once.
+    coded: list[bool] = []
+
+    def coded_bands():
+        for bands in comp_bands:
+            for band, step in zip(bands, steps):
+                indices = quantize_deadzone(band, step)
+                coded.append(bool(indices.any()))
+                if coded[-1]:
+                    yield indices
+
+    entries, section = rice.encode_bands(coded_bands())
 
     header = bytearray(
         _FIXED.pack(
@@ -241,9 +216,11 @@ def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeRe
             (config.levels_h << 4) | config.levels_v,
         )
     )
-    for step, k, nbits in records:
+    entries_iter = iter(entries)
+    for step, is_coded in zip(steps * len(comp_bands), coded):
+        k, nbits = next(entries_iter) if is_coded else (0, 0)
         header += _RECORD.pack(step, k, nbits)
-    return BaseEncodeResult(bytes(header) + writer.tobytes(), steps, overshoot)
+    return BaseEncodeResult(bytes(header) + section, steps, overshoot)
 
 
 def encode_base(image: PlanarImage, config: BaseConfig) -> bytes:
@@ -304,7 +281,10 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
 def decode_base(payload: bytes) -> PlanarImage:
     """Reconstruct the base image; bit-exact mirror of the encoder's own view."""
     info = parse_base_header(payload)
-    reader = BitReader(payload[info.data_offset :])
+    coded = rice.decode_bands(
+        payload[info.data_offset :],
+        [(r.width * r.height, r.k, r.bits) for r in info.records if r.bits],
+    )
     limit = (1 << (info.bit_depth + info.levels_h + info.levels_v + 1)) + MAX_STEP
     bands_per_comp = len(info.records) // info.components
     planes = []
@@ -318,16 +298,7 @@ def decode_base(payload: bytes) -> PlanarImage:
                 # zero-length convention: every index in the band is zero
                 indices = np.zeros(count, dtype=np.int64)
             else:
-                if count > record.bits:
-                    raise BitstreamError(
-                        f"band {record.name} cannot hold {count} samples "
-                        f"in {record.bits} bits"
-                    )
-                band_bits = reader.read_bit_array(record.bits)
-                pad = reader.read_bit_array((-record.bits) % 8)
-                if np.any(pad):
-                    raise BitstreamError("nonzero padding after band")
-                indices = rice.decode_band(band_bits, count, record.k)
+                indices = next(coded)
             coeffs = dequantize_deadzone(indices, record.step)
             if count and int(np.abs(coeffs).max()) > limit:
                 raise BitstreamError("coefficient out of range")

@@ -13,7 +13,7 @@ Two interchangeable coders handle the shifted planes:
   sequential per plane.
 * ``WAVELET``: reversible 5/3 decomposition (three levels in both
   directions), every band at step 1, per-band Golomb-Rice coding with an
-  exhaustively chosen parameter.
+  exhaustively chosen parameter: the base layer's band coder.
 
 Both are bijections on their domain, and both are deterministic functions of
 the input plane. The predictive coder's fixed conventions (any deterministic
@@ -28,6 +28,11 @@ choice works, but streams are only portable if one is pinned):
 Extension payload layout (big-endian)::
 
     "XSE1" | coder u8 | depth u8 | per component: byte length u32 + payload
+
+A predictive component payload is one Rice-coded raster scan, zero-padded to
+a byte. A wavelet component payload is, per band in canonical order (see
+:mod:`tlxs.dwt`), rice k u8 and coded length in bits u32, followed by the
+band section of every band (see :mod:`tlxs.rice`).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import dwt, rice
-from .bitio import BitReader, BitWriter
 from .errors import BitstreamError, CodecError
 from .image import PlanarImage
 
@@ -231,11 +235,7 @@ def encode_predictive(plane: PlaneLike, depth: int) -> bytes:
         k_list.append(adapter.k())
         adapter.update(m)
     ks = np.asarray(k_list, dtype=np.int64)
-
-    writer = BitWriter()
-    writer.write_bit_array(rice.pack_codes(mapped, ks))
-    writer.align()
-    return writer.tobytes()
+    return np.packbits(rice.pack_codes(mapped, ks)).tobytes()
 
 
 def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.ndarray:
@@ -314,16 +314,8 @@ def encode_wavelet_lossless(plane: PlaneLike, depth: int) -> bytes:
     """Reversible 5/3 transform with per-band Golomb-Rice coding, step 1."""
     samples = _plane_samples(plane, depth)
     bands = dwt.decompose(samples, _WAVELET_LEVELS, _WAVELET_LEVELS)
-    header = bytearray()
-    writer = BitWriter()
-    for band in bands:
-        values = band.ravel()
-        k = rice.choose_rice_k(values)
-        bits = rice.encode_band(values, k)
-        header += _WAVELET_RECORD.pack(k, bits.size)
-        writer.write_bit_array(bits)
-        writer.align()
-    return bytes(header) + writer.tobytes()
+    records, section = rice.encode_bands(bands)
+    return b"".join(_WAVELET_RECORD.pack(k, bits) for k, bits in records) + section
 
 
 def decode_wavelet_lossless(
@@ -336,32 +328,18 @@ def decode_wavelet_lossless(
     header_size = _WAVELET_RECORD.size * len(layout)
     if len(data) < header_size:
         raise BitstreamError("wavelet payload truncated in band records")
-    records = []
-    declared = 0
-    for i in range(len(layout)):
+    entries = []
+    for i, (_, bw, bh) in enumerate(layout):
         k, nbits = _WAVELET_RECORD.unpack_from(data, i * _WAVELET_RECORD.size)
         if k > rice.MAX_RICE_K:
             raise BitstreamError(f"band declares rice k {k}")
-        records.append((k, nbits))
-        declared += (nbits + 7) // 8
-    if header_size + declared != len(data):
-        raise BitstreamError("declared band sizes do not match wavelet payload")
+        entries.append((bw * bh, k, nbits))
 
-    reader = BitReader(data[header_size:])
     limit = 1 << (depth + 2 * _WAVELET_LEVELS + 1)
     bands = []
-    for (name, bw, bh), (k, nbits) in zip(layout, records):
-        count = bw * bh
-        if count > nbits:
-            raise BitstreamError(
-                f"band {name} cannot hold {count} samples in {nbits} bits"
-            )
-        band_bits = reader.read_bit_array(nbits)
-        pad = reader.read_bit_array((-nbits) % 8)
-        if np.any(pad):
-            raise BitstreamError("nonzero padding after band")
-        values = rice.decode_band(band_bits, count, k)
-        if count and int(np.abs(values).max()) > limit:
+    decoded = rice.decode_bands(data[header_size:], entries)
+    for (_, bw, bh), values in zip(layout, decoded):
+        if values.size and int(np.abs(values).max()) > limit:
             raise BitstreamError("coefficient out of range")
         bands.append(values.reshape(bh, bw))
     samples = dwt.recompose(bands, width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)

@@ -9,9 +9,17 @@ the low ``k`` bits of ``v`` most significant first. ``k`` may range over
 Encoding assembles whole bands as numpy bit arrays; decoding walks the
 positions of zero bits, which keeps the per-sample Python work down to a few
 integer operations.
+
+Band section: the base layer and the wavelet extension coder both store a
+sequence of bands, each coded at its own exhaustively chosen ``k`` and
+zero-padded to a byte boundary, MSB first, with no separators. The caller
+keeps each band's ``k`` and coded length in bits in its own record table;
+:func:`encode_bands` and :func:`decode_bands` own the section itself.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -96,6 +104,48 @@ def decode_band(bits: np.ndarray, count: int, k: int) -> np.ndarray:
     if consumed != bits.size:
         raise BitstreamError("trailing bits after band payload")
     return zigzag_unmap(mapped)
+
+
+def encode_bands(bands: Iterable[np.ndarray]) -> tuple[list[tuple[int, int]], bytes]:
+    """Code each band at its best ``k``; returns ``(k, bits)`` per band and the section.
+
+    Bands are consumed one at a time, so a generator keeps only one band's
+    bits alive.
+    """
+    records = []
+    chunks = []
+    for band in bands:
+        k = choose_rice_k(band)
+        bits = encode_band(band, k)
+        records.append((k, bits.size))
+        chunks.append(np.packbits(bits).tobytes())
+    return records, b"".join(chunks)
+
+
+def decode_bands(
+    payload: bytes, entries: Sequence[tuple[int, int, int]]
+) -> Iterator[np.ndarray]:
+    """Yield the signed values of each band described by ``(count, k, bits)``.
+
+    ``payload`` must be exactly the section :func:`encode_bands` wrote for
+    these entries. Every ``k`` must already be within ``0..MAX_RICE_K``.
+    """
+    if sum((bits + 7) // 8 for _, _, bits in entries) != len(payload):
+        raise BitstreamError("declared band sizes do not match band section length")
+    pos = 0
+    for index, (count, k, bits) in enumerate(entries):
+        if count > bits:
+            raise BitstreamError(
+                f"band {index} cannot hold {count} samples in {bits} bits"
+            )
+        nbytes = (bits + 7) // 8
+        band_bits = np.unpackbits(
+            np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=pos)
+        )
+        pos += nbytes
+        if band_bits[bits:].any():
+            raise BitstreamError(f"nonzero padding after band {index}")
+        yield decode_band(band_bits[:bits], count, k)
 
 
 def decode_mapped(bits: np.ndarray, count: int, k: int) -> tuple[np.ndarray, int]:

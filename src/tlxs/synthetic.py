@@ -136,7 +136,8 @@ def natural_image(
         amplitude *= decay
         cells *= 2
         octave += 1
-    field /= total
+    if total:  # no octave fits when a side is under 4: the image stays flat
+        field /= total
     lo, hi = field.min(), field.max()
     if hi > lo:
         field = (field - lo) / (hi - lo)

@@ -18,6 +18,7 @@ from tlxs.residual import (
     encode_wavelet_lossless,
     med_predict,
 )
+from tlxs.synthetic import natural_image
 
 from conftest import images, plane_arrays
 
@@ -244,3 +245,21 @@ class TestExtensionPayload:
         )
         with pytest.raises(BitstreamError):
             decode_extension(payload, 2, 2, 3)
+
+
+@pytest.mark.parametrize("coder", list(LosslessCoderId), ids=lambda c: c.name.lower())
+def test_extension_byte_flips_never_crash(coder):
+    plane = natural_image(32, 32, 8).planes[0]
+    payload = encode_extension([plane], 8, coder)
+    for pos in range(len(payload)):
+        for flip in (0x01, 0xFF):
+            corrupted = bytearray(payload)
+            corrupted[pos] ^= flip
+            try:
+                planes, _, depth = decode_extension(bytes(corrupted), 32, 32, 1)
+            except CodecError:
+                continue
+            # silent differences are tolerable only for in-range planes
+            (out,) = planes
+            assert out.shape == (32, 32)
+            assert 0 <= int(out.min()) and int(out.max()) < (1 << depth)

@@ -7,7 +7,9 @@ from tlxs.errors import BitstreamError
 from tlxs.rice import (
     choose_rice_k,
     decode_band,
+    decode_bands,
     encode_band,
+    encode_bands,
     rice_bit_cost,
     zigzag_map,
     zigzag_unmap,
@@ -91,3 +93,66 @@ def test_chosen_k_is_globally_minimal(values):
     costs = [rice_bit_cost(arr, j) for j in range(25)]
     assert costs[k] == min(costs)
     assert all(costs[j] > costs[k] for j in range(k))
+
+
+def _entries(bands, records):
+    return [(len(band), k, bits) for band, (k, bits) in zip(bands, records)]
+
+
+@pytest.mark.parametrize(
+    "bands",
+    [
+        [],
+        [[5]],
+        [[0] * 17, [], [-3, 900, 2, -1], [7]],
+    ],
+    ids=["no_bands", "one_sample", "mixed"],
+)
+def test_bands_roundtrip(bands):
+    bands = [np.asarray(band, dtype=np.int64) for band in bands]
+    records, payload = encode_bands(bands)
+    assert [k for k, _ in records] == [choose_rice_k(b) for b in bands]
+    assert len(payload) == sum((bits + 7) // 8 for _, bits in records)
+    out = list(decode_bands(payload, _entries(bands, records)))
+    assert len(out) == len(bands)
+    for got, want in zip(out, bands):
+        assert np.array_equal(got, want)
+
+
+@given(st.lists(st.lists(st.integers(-4000, 4000), max_size=40), max_size=8))
+def test_bands_roundtrip_property(bands):
+    bands = [np.asarray(band, dtype=np.int64) for band in bands]
+    records, payload = encode_bands(bands)
+    out = list(decode_bands(payload, _entries(bands, records)))
+    assert all(np.array_equal(a, b) for a, b in zip(out, bands))
+
+
+def test_bands_packed_msb_first_and_zero_padded():
+    # zigzag(3) = 6; best k=2 (tie with 3 goes to the smaller): "1010", then
+    # four zero padding bits; the second band, "0", starts on a fresh byte
+    records, payload = encode_bands([np.array([3]), np.array([0])])
+    assert records == [(2, 4), (0, 1)]
+    assert payload == bytes([0b10100000, 0b00000000])
+
+
+def test_bands_set_padding_bit_rejected():
+    _, payload = encode_bands([np.array([3])])
+    with pytest.raises(BitstreamError):
+        list(decode_bands(bytes([payload[0] | 0x01]), [(1, 2, 4)]))
+
+
+def test_bands_count_above_bits_rejected():
+    # a band of n samples needs at least n bits, one terminator each
+    records, payload = encode_bands([np.zeros(4, dtype=np.int64)])
+    assert records == [(0, 4)]
+    with pytest.raises(BitstreamError, match="cannot hold"):
+        list(decode_bands(payload, [(5, 0, 4)]))
+
+
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_bands_payload_length_must_match(change):
+    bands = [np.arange(-20, 20, dtype=np.int64), np.array([1, 2, 3])]
+    records, payload = encode_bands(bands)
+    payload = payload[:-1] if change == "short" else payload + b"\x00"
+    with pytest.raises(BitstreamError):
+        list(decode_bands(payload, _entries(bands, records)))
