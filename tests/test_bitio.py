@@ -1,69 +1,80 @@
+"""Bit-level I/O of the Rice band section: MSB-first packing, zero padding to
+a byte, fixed-width field reads and truncation.
+
+The bits are written by ``rice.encode_band``/``encode_bands`` and read by
+``rice.decode_bands`` and ``rice.remainder_lookup``.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from tlxs.bitio import BitReader, BitWriter
 from tlxs.errors import BitstreamError
+from tlxs.rice import (
+    MAX_RICE_K,
+    decode_bands,
+    encode_band,
+    encode_bands,
+    pack_codes,
+    remainder_lookup,
+)
+
+
+def _field_bits(fields):
+    """0/1 array of each ``(value, width)`` field, most significant bit first."""
+    bits = [(value >> (width - 1 - i)) & 1 for value, width in fields for i in range(width)]
+    return np.asarray(bits, dtype=np.uint8)
 
 
 def test_msb_first_packing():
-    w = BitWriter()
-    w.write_bits(0b101, 3)
-    assert w.tobytes() == bytes([0b10100000])
+    # mapped value 0b101 at k=3: no unary ones, the terminator "0", then "101"
+    bits = pack_codes(np.array([0b101]), np.array([3]))
+    assert bits.tolist() == [0, 1, 0, 1]
+    assert np.packbits(bits).tobytes() == bytes([0b01010000])
 
 
 def test_align_pads_zeros():
-    w = BitWriter()
-    w.write_bits(1, 1)
-    w.align()
-    assert w.bit_length == 8
-    assert w.tobytes() == bytes([0x80])
-
-
-def test_value_too_wide_rejected():
-    w = BitWriter()
-    with pytest.raises(ValueError):
-        w.write_bits(4, 2)
+    # zigzag(-1) = 1 at k=0 codes as "10"; the section pads it to one byte
+    records, payload = encode_bands([np.array([-1])])
+    assert records == [(0, 2)]
+    assert len(payload) * 8 == 8
+    assert payload == bytes([0x80])
 
 
 def test_reader_roundtrip_fields():
-    w = BitWriter()
-    w.write_bits(0xABC, 12)
-    w.write_bits(5, 3)
-    w.align()
-    r = BitReader(w.tobytes())
-    assert r.read_bits(12) == 0xABC
-    assert r.read_bits(3) == 5
+    bits = _field_bits([(0xABC, 12), (5, 3)])
+    lookup = remainder_lookup(np.unpackbits(np.packbits(bits)))
+    assert lookup[0] >> (MAX_RICE_K - 12) == 0xABC
+    assert lookup[12] >> (MAX_RICE_K - 3) == 5
 
 
 def test_reader_truncation():
-    r = BitReader(b"\xff")
+    # nine bits declared, one byte present
     with pytest.raises(BitstreamError):
-        r.read_bits(9)
+        list(decode_bands(b"\xff", [(1, 0, 9)]))
     with pytest.raises(BitstreamError):
-        BitReader(b"").read_bit_array(1)
+        list(decode_bands(b"", [(1, 0, 1)]))
 
 
 def test_bit_array_roundtrip():
-    bits = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
-    w = BitWriter()
-    w.write_bit_array(bits)
-    w.align()
-    r = BitReader(w.tobytes())
-    assert np.array_equal(r.read_bit_array(9), bits)
-    assert np.all(r.read_bit_array(r.remaining) == 0)
+    band = np.array([-1, 0, 3, -2, 1], dtype=np.int64)
+    records, payload = encode_bands([band])
+    (k, nbits), = records
+    bits = encode_band(band, k)
+    assert nbits == bits.size
+    unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    assert np.array_equal(unpacked[: bits.size], bits)
+    assert np.all(unpacked[bits.size :] == 0)
+    (out,) = decode_bands(payload, [(band.size, k, nbits)])
+    assert np.array_equal(out, band)
 
 
-@given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 24)), max_size=30))
+@given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, MAX_RICE_K)), max_size=30))
 def test_field_sequences_roundtrip(fields):
-    w = BitWriter()
-    kept = []
-    for value, width in fields:
-        value &= (1 << width) - 1
-        kept.append((value, width))
-        w.write_bits(value, width)
-    w.align()
-    r = BitReader(w.tobytes())
+    kept = [(value & ((1 << width) - 1), width) for value, width in fields]
+    lookup = remainder_lookup(_field_bits(kept))
+    pos = 0
     for value, width in kept:
-        assert r.read_bits(width) == value
+        assert int(lookup[pos]) >> (MAX_RICE_K - width) == value
+        pos += width
