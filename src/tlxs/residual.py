@@ -25,6 +25,13 @@ choice works, but streams are only portable if one is pinned):
   zigzag-mapped prediction errors, recomputed before every sample, with the
   accumulator and count halved once the count reaches 64.
 
+The encoder knows every mapped value up front, so it computes the whole
+parameter schedule at once: the halvings cut the scan into a 64-sample block
+and then 32-sample blocks, the accumulator entering each block follows from
+the block sums by a short recurrence, and within a block the mean is the
+entering accumulator plus a prefix sum over the count. The decoder tracks the
+same running mean sample by sample.
+
 Extension payload layout (big-endian)::
 
     "XSE1" | coder u8 | depth u8 | per component: byte length u32 + payload
@@ -40,6 +47,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
@@ -183,31 +191,6 @@ def _plane_samples(plane: PlaneLike, depth: int) -> np.ndarray:
     return samples
 
 
-class _RiceAdapter:
-    """Running-mean Golomb-Rice parameter tracker shared by both directions."""
-
-    __slots__ = ("acc", "count")
-
-    def __init__(self) -> None:
-        self.acc = 0
-        self.count = 0
-
-    def k(self) -> int:
-        if not self.count:
-            return 0
-        mean = self.acc // self.count
-        if mean <= 0:
-            return 0
-        return min(mean.bit_length() - 1, rice.MAX_RICE_K)
-
-    def update(self, mapped: int) -> None:
-        self.acc += mapped
-        self.count += 1
-        if self.count == 64:
-            self.acc >>= 1
-            self.count >>= 1
-
-
 def _predictions(samples: np.ndarray, depth: int) -> np.ndarray:
     height, width = samples.shape
     pred = np.empty_like(samples)
@@ -223,19 +206,32 @@ def _predictions(samples: np.ndarray, depth: int) -> np.ndarray:
     return pred
 
 
+def _rice_ks(mapped: np.ndarray) -> np.ndarray:
+    """The running-mean Rice parameter of every sample, from all mapped values.
+
+    The count before sample ``i`` is ``i`` below 64 and ``32 + i % 32`` from
+    then on, so the accumulator halves after sample 63 and every 32 samples
+    after it. Samples 0-63 form block 0 and each later 32 samples one more
+    block, entered with ``A[j + 1] = (A[j] + sum of block j) >> 1``.
+    """
+    index = np.arange(mapped.size)
+    block = np.maximum((index >> 5) - 1, 0)
+    starts = np.concatenate(([0], np.arange(64, mapped.size, 32)))
+    sums = np.add.reduceat(mapped, starts)[:-1].tolist()
+    acc = np.array(list(accumulate(sums, lambda a, s: (a + s) >> 1, initial=0)))
+    before = np.cumsum(mapped) - mapped
+    count = np.where(index < 64, index, 32 + (index & 31))
+    mean = (acc[block] + before - before[starts][block]) // np.maximum(count, 1)
+    # exact: means stay far below 2**53, so frexp's exponent is the MSB + 1
+    return np.clip(np.frexp(mean)[1] - 1, 0, rice.MAX_RICE_K).astype(np.int64)
+
+
 def encode_predictive(plane: PlaneLike, depth: int) -> bytes:
     """MED-predicted, adaptively Rice-coded raster scan of one plane."""
     samples = _plane_samples(plane, depth)
     errors = samples - _predictions(samples, depth)
     mapped = rice.zigzag_map(errors).ravel()
-
-    adapter = _RiceAdapter()
-    k_list = []
-    for m in mapped.tolist():
-        k_list.append(adapter.k())
-        adapter.update(m)
-    ks = np.asarray(k_list, dtype=np.int64)
-    return np.packbits(rice.pack_codes(mapped, ks)).tobytes()
+    return np.packbits(rice.pack_codes(mapped, _rice_ks(mapped))).tobytes()
 
 
 def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.ndarray:
@@ -243,37 +239,41 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
     if width < 1 or height < 1:
         raise CodecError("empty plane dimensions")
     count = width * height
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    nbits = bits.size
-    zeros = np.flatnonzero(bits == 0).tolist()
-    nzeros = len(zeros)
-    lookup = rice.remainder_lookup(bits).tolist()
-
-    adapter = _RiceAdapter()
-    mapped = []
-    pos = 0
-    zi = 0
-    for _ in range(count):
-        k = adapter.k()
-        while zi < nzeros and zeros[zi] < pos:
-            zi += 1
-        if zi >= nzeros:
+    nbits = 8 * len(data)
+    if count > nbits:  # every code takes at least one bit
+        raise BitstreamError(f"{len(data)} bytes cannot hold {count} samples")
+    win = rice.byte_windows(data)
+    m64 = (1 << 64) - 1
+    max_k = rice.MAX_RICE_K
+    mapped = [0] * count
+    acc = n = pos = 0
+    for i in range(count):
+        k = (acc // (n or 1)).bit_length() - 1
+        if k < 0:
+            k = 0
+        elif k > max_k:
+            k = max_k
+        x = (win[pos >> 3] << (pos & 7)) & m64
+        q = 64 - (x ^ m64).bit_length()
+        m = 0
+        while q + k > 55:  # code may outrun the window's 57 sure bits: skip 32 ones
+            m += 32 << k
+            pos += 32
+            x = (win[pos >> 3] << (pos & 7)) & m64
+            q = 64 - (x ^ m64).bit_length()
+        used = q + 1 + k
+        m += (q << k) | ((x >> (64 - used)) & ((1 << k) - 1))
+        pos += used
+        if pos > nbits:
             raise BitstreamError("predictive stream truncated")
-        t = zeros[zi]
-        zi += 1
-        end = t + 1 + k
-        if end > nbits:
-            raise BitstreamError("predictive stream truncated")
-        q = t - pos
-        if k:
-            m = (q << k) | (lookup[t + 1] >> (rice.MAX_RICE_K - k))
-        else:
-            m = q
-        mapped.append(m)
-        adapter.update(m)
-        pos = end
+        mapped[i] = m
+        acc += m
+        n += 1
+        if n == 64:
+            acc >>= 1
+            n = 32
 
-    if nbits - pos >= 8 or np.any(bits[pos:]):
+    if nbits - pos >= 8 or data[-1] & ((1 << (nbits - pos)) - 1):
         raise BitstreamError("trailing data after predictive stream")
     errors = rice.zigzag_unmap(np.asarray(mapped, dtype=np.int64)).reshape(
         height, width
@@ -287,27 +287,21 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
 def _unpredict(errors: np.ndarray, depth: int) -> np.ndarray:
     height, width = errors.shape
     first = (1 << (depth - 1)) - 1
-    out = np.empty((height, width), dtype=np.int64)
+    out = errors.copy()
     out[0] = np.cumsum(errors[0]) + first
     out[:, 0] = np.cumsum(errors[:, 0]) + first
-    for y in range(1, height):
-        prev = out[y - 1].tolist()
-        erow = errors[y].tolist()
-        row = [int(out[y, 0])]
-        for x in range(1, width):
-            a = row[x - 1]
-            b = prev[x]
-            c = prev[x - 1]
-            lo, hi = (a, b) if a <= b else (b, a)
-            if c >= hi:
-                p = lo
-            elif c <= lo:
-                p = hi
-            else:
-                p = a + b - c
-            row.append(p + erow[x])
-        out[y] = row
-    return out
+    # MED at (y, x) reads only anti-diagonals x+y-1 and x+y-2, so rebuild one
+    # anti-diagonal at a time on a copy skewed to make each one a row.
+    diag = np.add.outer(np.arange(height), np.arange(width))
+    rows = np.arange(height)[:, None]
+    skew = np.zeros((height + width - 1, height), dtype=np.int64)
+    skew[diag, rows] = out
+    for t in range(2, height + width - 1):
+        lo, hi = max(1, t - width + 1), min(height, t)
+        skew[t, lo:hi] += _med_array(
+            skew[t - 1, lo:hi], skew[t - 1, lo - 1 : hi - 1], skew[t - 2, lo - 1 : hi - 1]
+        )
+    return skew[diag, rows]
 
 
 def encode_wavelet_lossless(plane: PlaneLike, depth: int) -> bytes:

@@ -6,9 +6,10 @@ parameter ``k`` is coded as ``v >> k`` one-bits, a terminating zero bit, then
 the low ``k`` bits of ``v`` most significant first. ``k`` may range over
 0..24.
 
-Encoding assembles whole bands as numpy bit arrays; decoding walks the
-positions of zero bits, which keeps the per-sample Python work down to a few
-integer operations.
+Encoding assembles whole bands as numpy bit arrays. Band decoding walks the
+positions of zero bits; a per-sample-``k`` decoder reads big-endian 64-bit
+windows (:func:`byte_windows`) instead. Either keeps the per-sample Python
+work down to a few integer operations.
 
 Band section: the base layer and the wavelet extension coder both store a
 sequence of bands, each coded at its own exhaustively chosen ``k`` and
@@ -190,20 +191,18 @@ def decode_mapped(bits: np.ndarray, count: int, k: int) -> tuple[np.ndarray, int
     return (q << k) | rem, pos
 
 
-def remainder_lookup(bits: np.ndarray, width: int = MAX_RICE_K) -> np.ndarray:
-    """``lookup[p]`` = the ``width`` bits starting at position ``p`` as an int.
+def byte_windows(data: bytes) -> list[int]:
+    """``win[p]`` = bytes ``p..p+7`` of ``data`` as a big-endian 64-bit int.
 
-    Positions past the end read as zero. Built by doubling, so construction is
-    a handful of vectorized passes regardless of stream length.
+    One window per byte offset ``0..len(data)``; bytes past the end read as
+    zero. The 64 bits from bit position ``pos`` (MSB first) are
+    ``(win[pos >> 3] << (pos & 7)) & (2**64 - 1)``, of which at least the top
+    57 are stream bits or zero padding.
     """
-    n = bits.size
-    cur = np.concatenate([bits.astype(np.int64), np.zeros(width, dtype=np.int64)])
-    have = 1
-    while have < width:
-        step = min(have, width - have)
-        ahead = np.zeros_like(cur)
-        ahead[: cur.size - have] = cur[have:]
-        # top `step` bits of the `have`-wide read starting `have` further on
-        cur = (cur << step) | (ahead >> (have - step))
-        have += step
-    return cur[: n + 1]
+    n = len(data)
+    buf = np.zeros(n + 8, dtype=np.uint64)
+    buf[:n] = np.frombuffer(data, dtype=np.uint8)
+    win = np.zeros(n + 1, dtype=np.uint64)
+    for i in range(8):
+        win |= buf[i : i + n + 1] << np.uint64(56 - 8 * i)
+    return win.tolist()

@@ -2,7 +2,7 @@
 a byte, fixed-width field reads and truncation.
 
 The bits are written by ``rice.encode_band``/``encode_bands`` and read by
-``rice.decode_bands`` and ``rice.remainder_lookup``.
+``rice.decode_bands`` and through the 64-bit windows of ``rice.byte_windows``.
 """
 
 import numpy as np
@@ -13,11 +13,11 @@ import hypothesis.strategies as st
 from tlxs.errors import BitstreamError
 from tlxs.rice import (
     MAX_RICE_K,
+    byte_windows,
     decode_bands,
     encode_band,
     encode_bands,
     pack_codes,
-    remainder_lookup,
 )
 
 
@@ -25,6 +25,11 @@ def _field_bits(fields):
     """0/1 array of each ``(value, width)`` field, most significant bit first."""
     bits = [(value >> (width - 1 - i)) & 1 for value, width in fields for i in range(width)]
     return np.asarray(bits, dtype=np.uint8)
+
+
+def _read_field(windows, pos, width):
+    """``width`` bits from bit ``pos``, read the way the predictive decoder does."""
+    return ((windows[pos >> 3] << (pos & 7)) & ((1 << 64) - 1)) >> (64 - width)
 
 
 def test_msb_first_packing():
@@ -44,9 +49,13 @@ def test_align_pads_zeros():
 
 def test_reader_roundtrip_fields():
     bits = _field_bits([(0xABC, 12), (5, 3)])
-    lookup = remainder_lookup(np.unpackbits(np.packbits(bits)))
-    assert lookup[0] >> (MAX_RICE_K - 12) == 0xABC
-    assert lookup[12] >> (MAX_RICE_K - 3) == 5
+    windows = byte_windows(np.packbits(bits).tobytes())
+    assert len(windows) == 3
+    assert _read_field(windows, 0, 12) == 0xABC
+    assert _read_field(windows, 12, 3) == 5
+    # past the end the window reads as zero padding
+    assert _read_field(windows, 15, 8) == 0
+    assert windows[2] == 0
 
 
 def test_reader_truncation():
@@ -73,8 +82,8 @@ def test_bit_array_roundtrip():
 @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, MAX_RICE_K)), max_size=30))
 def test_field_sequences_roundtrip(fields):
     kept = [(value & ((1 << width) - 1), width) for value, width in fields]
-    lookup = remainder_lookup(_field_bits(kept))
+    windows = byte_windows(np.packbits(_field_bits(kept)).tobytes())
     pos = 0
     for value, width in kept:
-        assert int(lookup[pos]) >> (MAX_RICE_K - width) == value
+        assert _read_field(windows, pos, width) == value
         pos += width

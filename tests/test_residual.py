@@ -1,12 +1,18 @@
+import tracemalloc
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from tlxs import rice
 from tlxs.errors import BitstreamError, CodecError
 from tlxs.image import PlanarImage
 from tlxs.residual import (
     LosslessCoderId,
     ResidualPlane,
+    _rice_ks,
+    _unpredict,
     compute_residual,
     dc_shift,
     dc_unshift,
@@ -34,6 +40,57 @@ def med_oracle(a, b, c):
     if c <= min(a, b):
         return max(a, b)
     return a + b - c
+
+
+def scalar_prediction(rows, y, x, depth):
+    """Prediction of sample (y, x) from ``rows``, by the predictive coder's convention."""
+    if y == 0 and x == 0:
+        return (1 << (depth - 1)) - 1
+    if y == 0:
+        return rows[0][x - 1]
+    if x == 0:
+        return rows[y - 1][0]
+    return med_oracle(rows[y][x - 1], rows[y - 1][x], rows[y - 1][x - 1])
+
+
+class RiceAdapterOracle:
+    """Per-sample running-mean Rice parameter: the reference k schedule."""
+
+    def __init__(self):
+        self.acc = 0
+        self.count = 0
+
+    def k(self):
+        mean = self.acc // self.count if self.count else 0
+        return min(mean.bit_length() - 1, rice.MAX_RICE_K) if mean > 0 else 0
+
+    def update(self, mapped):
+        self.acc += mapped
+        self.count += 1
+        if self.count == 64:
+            self.acc >>= 1
+            self.count >>= 1
+
+
+def oracle_ks(mapped):
+    adapter = RiceAdapterOracle()
+    ks = []
+    for m in mapped:
+        ks.append(adapter.k())
+        adapter.update(m)
+    return np.asarray(ks, dtype=np.int64)
+
+
+# sample counts on both sides of the running mean's halvings (after 64, 96, 128)
+_BLOCK_EDGES = (1, 63, 64, 65, 96, 97, 128)
+
+
+@st.composite
+def predictive_planes(draw):
+    depth = draw(st.integers(2, 17))
+    n = draw(st.sampled_from(_BLOCK_EDGES))
+    height, width = draw(st.sampled_from([(1, n), (n, 1)]))
+    return draw(plane_arrays(width, height, 0, (1 << depth) - 1)), depth
 
 
 class TestResidualAlgebra:
@@ -169,6 +226,96 @@ class TestPredictiveCoder:
     def test_roundtrip_property(self, plane):
         payload = encode_predictive(plane, 9)
         assert np.array_equal(decode_predictive(payload, 9, 7, 9), plane)
+
+
+    @given(predictive_planes())
+    @settings(max_examples=60)
+    def test_stream_matches_per_sample_rice_schedule(self, case):
+        plane, depth = case
+        rows = plane.tolist()
+        errors = [
+            rows[y][x] - scalar_prediction(rows, y, x, depth)
+            for y in range(plane.shape[0])
+            for x in range(plane.shape[1])
+        ]
+        mapped = rice.zigzag_map(np.asarray(errors, dtype=np.int64))
+        expected = np.packbits(rice.pack_codes(mapped, oracle_ks(mapped.tolist())))
+        assert encode_predictive(plane, depth) == expected.tobytes()
+        assert np.array_equal(
+            decode_predictive(expected.tobytes(), plane.shape[1], plane.shape[0], depth),
+            plane,
+        )
+
+    @given(st.lists(st.integers(0, 2**30), min_size=1, max_size=200))
+    def test_rice_schedule_matches_oracle_up_to_clamp(self, values):
+        # values far above any residual's reach drive the mean past k = MAX_RICE_K
+        mapped = np.asarray(values, dtype=np.int64)
+        assert np.array_equal(_rice_ks(mapped), oracle_ks(values))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (3, 11), (10, 4)])
+    @given(data=st.data())
+    @settings(max_examples=25)
+    def test_wavefront_unpredict_matches_scalar_med(self, shape, data):
+        depth = data.draw(st.integers(2, 17))
+        lim = (1 << depth) - 1
+        errors = data.draw(plane_arrays(shape[1], shape[0], -lim, lim))
+        out = [[0] * shape[1] for _ in range(shape[0])]
+        for y in range(shape[0]):
+            for x in range(shape[1]):
+                out[y][x] = scalar_prediction(out, y, x, depth) + int(errors[y, x])
+        assert _unpredict(errors, depth).tolist() == out
+
+    @pytest.mark.parametrize("shape", [(1, 300), (24, 24)])
+    def test_unary_run_longer_than_window_roundtrips(self, shape):
+        # a flat run at the first prediction codes at k = 0, so a full-scale
+        # spike after it is a unary run of 2**17 ones, far past one window
+        plane = np.full(shape, (1 << 16) - 1, dtype=np.int64)
+        plane.flat[200] = (1 << 17) - 1
+        payload = encode_predictive(plane, 17)
+        assert len(payload) * 8 > 1 << 17
+        assert np.array_equal(decode_predictive(payload, shape[1], shape[0], 17), plane)
+
+    @pytest.mark.parametrize("lead", range(8))
+    def test_unary_runs_across_window_end_roundtrip(self, lead):
+        # `lead` zero errors, one bit each at k = 0, set the bit alignment of
+        # a following k = 0 run whose length straddles what one window holds
+        for run in range(48, 72):
+            mapped = np.array([0] * lead + [run, 0, 0])
+            plane = (1 << 16) - 1 + np.cumsum(rice.zigzag_unmap(mapped))[None, :]
+            payload = encode_predictive(plane, 17)
+            assert np.array_equal(decode_predictive(payload, plane.shape[1], 1, 17), plane)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 64, 300])
+    def test_all_ones_payload_rejected(self, size):
+        with pytest.raises(BitstreamError):
+            decode_predictive(b"\xff" * size, 1, 1, 9)
+        with pytest.raises(BitstreamError):
+            decode_predictive(b"\xff" * size, size, 8, 17)
+
+    def test_trailing_zero_byte_rejected(self):
+        plane = np.arange(64).reshape(8, 8) * 7 % 512
+        payload = encode_predictive(plane, 9)
+        with pytest.raises(BitstreamError):
+            decode_predictive(payload + b"\x00", 8, 8, 9)
+
+    def test_set_padding_bit_rejected(self):
+        # five zero errors at k = 0 take five bits, then three padding bits
+        plane = np.full((1, 5), 255, dtype=np.int64)
+        payload = encode_predictive(plane, 9)
+        assert payload == b"\x00"
+        assert np.array_equal(decode_predictive(payload, 5, 1, 9), plane)
+        with pytest.raises(BitstreamError):
+            decode_predictive(b"\x01", 5, 1, 9)
+
+    def test_more_samples_than_bits_rejected_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitstreamError):
+                decode_predictive(b"\x00", 4096, 4096, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWaveletCoder:
