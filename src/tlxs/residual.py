@@ -163,9 +163,8 @@ def med_predict(a: int, b: int, c: int) -> int:
 
 
 def _med_array(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    return np.where(c >= hi, lo, np.where(c <= lo, hi, a + b - c))
+    # the median of a, b and a + b - c: fewer ufunc calls than branch masks
+    return np.minimum(np.maximum(a + b - c, np.minimum(a, b)), np.maximum(a, b))
 
 
 PlaneLike = Union[ResidualPlane, np.ndarray]
@@ -286,10 +285,14 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
 
 def _unpredict(errors: np.ndarray, depth: int) -> np.ndarray:
     height, width = errors.shape
+    if height > width:  # MED is symmetric in west and north: skew the short side
+        return np.ascontiguousarray(_unpredict(errors.T, depth).T)
     first = (1 << (depth - 1)) - 1
     out = errors.copy()
     out[0] = np.cumsum(errors[0]) + first
     out[:, 0] = np.cumsum(errors[:, 0]) + first
+    if height == 1:
+        return out
     # MED at (y, x) reads only anti-diagonals x+y-1 and x+y-2, so rebuild one
     # anti-diagonal at a time on a copy skewed to make each one a row.
     diag = np.add.outer(np.arange(height), np.arange(width))

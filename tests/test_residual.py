@@ -11,6 +11,7 @@ from tlxs.image import PlanarImage
 from tlxs.residual import (
     LosslessCoderId,
     ResidualPlane,
+    _med_array,
     _rice_ks,
     _unpredict,
     compute_residual,
@@ -176,6 +177,11 @@ class TestMedPredict:
                 for c in range(16):
                     assert med_predict(a, b, c) == med_oracle(a, b, c), (a, b, c)
 
+    def test_array_form_matches_oracle_on_cube(self):
+        a, b, c = (v.ravel() for v in np.indices((16, 16, 16)))
+        expected = [med_oracle(*abc) for abc in zip(a.tolist(), b.tolist(), c.tolist())]
+        assert _med_array(a, b, c).tolist() == expected
+
 
 class TestPredictiveCoder:
     def test_zero_residual_is_one_bit_per_sample(self):
@@ -264,6 +270,29 @@ class TestPredictiveCoder:
             for x in range(shape[1]):
                 out[y][x] = scalar_prediction(out, y, x, depth) + int(errors[y, x])
         assert _unpredict(errors, depth).tolist() == out
+
+    @pytest.mark.parametrize(
+        "shape", [(200000, 1), (1, 200000), (3000, 20), (20, 3000), (256, 256)]
+    )
+    def test_unpredict_memory_follows_plane_size(self, shape):
+        # the skewed copy runs along the shorter side, so a tall narrow plane
+        # needs no height x height buffer
+        errors = np.random.default_rng(7).integers(-3, 4, size=shape)
+        tracemalloc.start()
+        try:
+            out = _unpredict(errors, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * errors.nbytes
+        assert out.shape == shape and out.flags.c_contiguous
+        assert np.array_equal(out, _unpredict(errors.T, 9).T)
+
+    def test_tall_single_column_roundtrips(self):
+        steps = np.random.default_rng(8).integers(-2, 3, size=(100000, 1))
+        plane = np.clip(255 + np.cumsum(steps, axis=0), 0, 511)
+        payload = encode_predictive(plane, 9)
+        assert np.array_equal(decode_predictive(payload, 1, 100000, 9), plane)
 
     @pytest.mark.parametrize("shape", [(1, 300), (24, 24)])
     def test_unary_run_longer_than_window_roundtrips(self, shape):
