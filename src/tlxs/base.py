@@ -3,8 +3,9 @@
 The profile is deliberately simple: a horizontal-dominant 5/3 decomposition
 (vertical splitting capped at two levels so only a few lines of context are
 ever needed), a dead-zone scalar quantizer with midpoint reconstruction, and
-per-band Golomb-Rice coding with an exhaustively chosen parameter. A bisection
-rate controller drives a single global quantizer scale to a target bit rate.
+per-band Golomb-Rice coding at the parameter of least coded length (found by a
+local search on that convex length). A bisection rate controller drives a
+single global quantizer scale to a target bit rate.
 With every step at 1 the whole path is lossless because the transform is
 reversible.
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,18 +138,6 @@ def _decompose_image(image: PlanarImage, config: BaseConfig) -> list[list[np.nda
     ]
 
 
-def _coded_size(comp_bands: list[list[np.ndarray]], steps: Sequence[int]) -> int:
-    """Total payload size in bytes for these steps."""
-    total = _FIXED.size + _RECORD.size * len(comp_bands) * len(steps)
-    for bands in comp_bands:
-        for band, step in zip(bands, steps):
-            indices = quantize_deadzone(band, step)
-            if indices.any():
-                k = rice.choose_rice_k(indices)
-                total += (rice.rice_bit_cost(indices, k) + 7) // 8
-    return total
-
-
 def rate_control(image: PlanarImage, config: BaseConfig) -> tuple[tuple[int, ...], bool]:
     """Per-band quantizer steps meeting the target rate, plus an overshoot flag."""
     if config.target_bpp is None:
@@ -161,12 +150,34 @@ def _rate_control_on_bands(
     comp_bands: list[list[np.ndarray]], image: PlanarImage, config: BaseConfig
 ) -> tuple[tuple[int, ...], bool]:
     n_bands = len(comp_bands[0])
+    # Each probe quantizes as sign * (|c| // step), which is quantize_deadzone
+    # with |c| and sign taken once here; a band whose largest |c| is below the
+    # step quantizes to all zeros and costs no section bytes.
+    split = []
+    for bands in comp_bands:
+        for band in bands:
+            magnitude = np.abs(band)
+            sign = np.sign(band).astype(np.int8)
+            split.append((magnitude, sign, int(magnitude.max(initial=0))))
+    header_bytes = _FIXED.size + _RECORD.size * len(split)
+    # Probe sizes by integer step: every band shares one step, and the
+    # bisection's late probes often round to a step already scored.
+    sizes: dict[int, int] = {}
 
     def steps_for(scale: float) -> tuple[int, ...]:
         return (_step_for_scale(scale),) * n_bands
 
     def size_bits(scale: float) -> int:
-        return 8 * _coded_size(comp_bands, steps_for(scale))
+        step = _step_for_scale(scale)
+        if step not in sizes:
+            total = header_bytes
+            for magnitude, sign, peak in split:
+                if peak >= step:
+                    indices = sign * (magnitude // step)
+                    k = rice.choose_rice_k(indices)
+                    total += (rice.rice_bit_cost(indices, k) + 7) // 8
+            sizes[step] = 8 * total
+        return sizes[step]
 
     budget = config.target_bpp * (1.0 + config.rate_tolerance) * image.pixel_count
     lo, hi = 1.0, MAX_SCALE

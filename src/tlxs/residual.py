@@ -12,8 +12,8 @@ Two interchangeable coders handle the shifted planes:
   adaptively parameterized Golomb-Rice coding. Low complexity, strictly
   sequential per plane.
 * ``WAVELET``: reversible 5/3 decomposition (three levels in both
-  directions), every band at step 1, per-band Golomb-Rice coding with an
-  exhaustively chosen parameter: the base layer's band coder.
+  directions), every band at step 1, per-band Golomb-Rice coding at the
+  parameter of least coded length: the base layer's band coder.
 
 Both are bijections on their domain, and both are deterministic functions of
 the input plane. The predictive coder's fixed conventions (any deterministic

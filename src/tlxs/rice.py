@@ -12,7 +12,8 @@ windows (:func:`byte_windows`) instead. Either keeps the per-sample Python
 work down to a few integer operations.
 
 Band section: the base layer and the wavelet extension coder both store a
-sequence of bands, each coded at its own exhaustively chosen ``k`` and
+sequence of bands, each coded at its own cost-minimizing ``k`` (found by a
+local search on the convex coded length, see :func:`choose_rice_k`) and
 zero-padded to a byte boundary, MSB first, with no separators. The caller
 keeps each band's ``k`` and coded length in bits in its own record table;
 :func:`encode_bands` and :func:`decode_bands` own the section itself.
@@ -32,13 +33,13 @@ MAX_RICE_K = 24
 def zigzag_map(values: np.ndarray) -> np.ndarray:
     """Map signed integers onto non-negative ones (0,-1,1,-2 -> 0,1,2,3)."""
     values = np.asarray(values, dtype=np.int64)
-    return np.where(values >= 0, 2 * values, -2 * values - 1)
+    return (values << 1) ^ (values >> 63)
 
 
 def zigzag_unmap(mapped: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag_map`."""
     mapped = np.asarray(mapped, dtype=np.int64)
-    return np.where(mapped % 2 == 0, mapped // 2, -(mapped + 1) // 2)
+    return (mapped >> 1) ^ -(mapped & 1)
 
 
 def rice_bit_cost(indices: np.ndarray, k: int) -> int:
@@ -48,18 +49,33 @@ def rice_bit_cost(indices: np.ndarray, k: int) -> int:
 
 
 def choose_rice_k(indices: np.ndarray) -> int:
-    """Parameter in 0..MAX_RICE_K minimizing coded length, ties to smallest."""
+    """Parameter in 0..MAX_RICE_K minimizing coded length, ties to smallest.
+
+    The coded length ``f(k) = sum(v >> k) + n * (1 + k)`` is convex in ``k``:
+    ``f(k+1) - f(k) = n - sum(ceil((v >> k) / 2))`` never decreases. So a
+    local search from ``floor(log2(mean))`` finds the global minimum, usually
+    in three or four passes over the band instead of one per candidate
+    (Kiely, IPN Progress Report 42-159, 2004). Stepping down on ``<=`` and up
+    on ``<`` lands on the smallest minimizer.
+    """
     mapped = zigzag_map(indices)
-    if mapped.size == 0:
+    n = mapped.size
+    if n == 0:
         return 0
-    best_k = 0
-    best_cost = int(np.sum(mapped)) + mapped.size
-    for k in range(1, MAX_RICE_K + 1):
-        cost = int(np.sum(mapped >> k)) + mapped.size * (1 + k)
-        if cost < best_cost:
-            best_cost = cost
-            best_k = k
-    return best_k
+    total = int(mapped.sum())
+    costs = {0: total + n}
+
+    def cost(k: int) -> int:
+        if k not in costs:
+            costs[k] = int(np.sum(mapped >> k)) + n * (1 + k)
+        return costs[k]
+
+    k = min(max((total // n).bit_length() - 1, 0), MAX_RICE_K)
+    while k > 0 and cost(k - 1) <= cost(k):
+        k -= 1
+    while k < MAX_RICE_K and cost(k + 1) < cost(k):
+        k += 1
+    return k
 
 
 def encode_band(indices: np.ndarray, k: int) -> np.ndarray:

@@ -1,7 +1,11 @@
+import math
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from tlxs import dwt, rice
 from tlxs.base import (
     LOSSLESS_BASE,
     BaseConfig,
@@ -9,6 +13,7 @@ from tlxs.base import (
     encode_base,
     encode_base_detailed,
     parse_base_header,
+    quantize_deadzone,
     rate_control,
 )
 from tlxs.errors import BitstreamError, CodecError
@@ -16,6 +21,137 @@ from tlxs.image import PlanarImage, bits_per_pixel, psnr
 from tlxs.synthetic import natural_image, noise_image
 
 from conftest import images
+from test_rice import choose_rice_k_oracle
+
+
+def rate_control_oracle(image, config):
+    """The bisection as it was before probes were memoized and bands split.
+
+    Every probe re-quantizes every band with ``quantize_deadzone`` and
+    scores it with the exhaustive k scan and ``rice_bit_cost``. Returns
+    ``(steps, overshoot, integer step of every probe in order)``.
+    """
+    comp_bands = [
+        dwt.decompose(plane, config.levels_h, config.levels_v)
+        for plane in image.planes
+    ]
+    n_bands = len(comp_bands[0])
+    probed = []
+
+    def step_for(scale):
+        return max(1, min(65535, math.floor(scale + 0.5)))
+
+    def size_bits(scale):
+        step = step_for(scale)
+        probed.append(step)
+        # 15-byte fixed header, 7-byte record per band
+        total = 15 + 7 * n_bands * len(comp_bands)
+        for bands in comp_bands:
+            for band in bands:
+                indices = quantize_deadzone(band, step)
+                if indices.any():
+                    k = choose_rice_k_oracle(indices)
+                    total += (rice.rice_bit_cost(indices, k) + 7) // 8
+        return 8 * total
+
+    budget = config.target_bpp * (1.0 + config.rate_tolerance) * image.pixel_count
+    lo, hi = 1.0, 65536.0
+    if size_bits(lo) <= budget:
+        return (1,) * n_bands, False, probed
+    if size_bits(hi) > budget:
+        return (65535,) * n_bands, True, probed
+    for _ in range(18):
+        mid = (lo + hi) / 2.0
+        if size_bits(mid) <= budget:
+            hi = mid
+        else:
+            lo = mid
+    return (step_for(hi),) * n_bands, False, probed
+
+
+@st.composite
+def base_configs(draw):
+    levels_h = draw(st.integers(1, 6))
+    levels_v = draw(st.integers(0, min(2, levels_h)))
+    target = draw(st.one_of(st.sampled_from([0.01, 16.0]), st.floats(0.01, 16.0)))
+    return BaseConfig(levels_h=levels_h, levels_v=levels_v, target_bpp=target)
+
+
+@given(images(max_dim=40, depths=(8, 12, 16)), base_configs())
+@settings(max_examples=150)
+def test_rate_control_matches_oracle(img, config):
+    steps, overshoot, _ = rate_control_oracle(img, config)
+    assert rate_control(img, config) == (steps, overshoot)
+
+
+@st.composite
+def seeded_images(draw):
+    """Natural or noise images, gray or RGB, big enough for sub-bpp targets."""
+    make = draw(st.sampled_from([natural_image, noise_image]))
+    width, height = draw(st.integers(32, 96)), draw(st.integers(32, 96))
+    depth = draw(st.sampled_from([8, 12, 16]))
+    components = draw(st.sampled_from([1, 3]))
+    seeds = draw(
+        st.lists(st.integers(0, 2**16), min_size=components, max_size=components)
+    )
+    planes = [make(width, height, depth, seed=seed).planes[0] for seed in seeds]
+    return PlanarImage.from_planes(planes, depth)
+
+
+@given(seeded_images(), base_configs())
+@settings(max_examples=60)
+def test_rate_control_matches_oracle_on_seeded_images(img, config):
+    steps, overshoot, _ = rate_control_oracle(img, config)
+    assert rate_control(img, config) == (steps, overshoot)
+
+
+@pytest.mark.parametrize("components", [1, 3])
+@pytest.mark.parametrize("depth", [8, 12, 16])
+@pytest.mark.parametrize("target", [0.01, 0.3, 2.0, 16.0])
+def test_rate_control_matches_oracle_on_natural_images(components, depth, target):
+    planes = [
+        natural_image(48, 40, depth, seed=seed).planes[0] for seed in range(components)
+    ]
+    img = PlanarImage.from_planes(planes, depth)
+    config = BaseConfig(target_bpp=target)
+    steps, overshoot, _ = rate_control_oracle(img, config)
+    assert rate_control(img, config) == (steps, overshoot)
+    # the ends of the range reach both early exits
+    if target == 0.01:
+        assert overshoot
+    if target == 16.0 and components == 1:
+        assert steps[0] == 1
+
+
+def test_rate_control_scores_each_integer_step_once(monkeypatch):
+    img = natural_image(64, 64, 8)
+    config = BaseConfig(target_bpp=2.0)
+    comp_bands = [dwt.decompose(p, config.levels_h, config.levels_v) for p in img.planes]
+    _, _, probed = rate_control_oracle(img, config)
+    nonzero = {
+        step: sum(
+            bool(quantize_deadzone(band, step).any())
+            for bands in comp_bands
+            for band in bands
+        )
+        for step in set(probed)
+    }
+    # the bisection revisits a step that has bands to score, so scoring it
+    # twice would show up as extra k searches
+    assert any(probed.count(step) > 1 and nonzero[step] for step in nonzero)
+
+    calls = 0
+    original = rice.choose_rice_k
+
+    def counting(indices):
+        nonlocal calls
+        calls += 1
+        return original(indices)
+
+    monkeypatch.setattr(rice, "choose_rice_k", counting)
+    rate_control(img, config)
+    # one k search per nonzero band per distinct step, none for zero bands
+    assert calls == sum(nonzero.values())
 
 
 def test_config_validation():

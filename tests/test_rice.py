@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tlxs.errors import BitstreamError
 from tlxs.rice import (
@@ -16,6 +17,45 @@ from tlxs.rice import (
 )
 
 
+# The forms these functions had before the bit-twiddling and local-search
+# versions, kept as oracles.
+def zigzag_map_oracle(values):
+    values = np.asarray(values, dtype=np.int64)
+    return np.where(values >= 0, 2 * values, -2 * values - 1)
+
+
+def zigzag_unmap_oracle(mapped):
+    mapped = np.asarray(mapped, dtype=np.int64)
+    return np.where(mapped % 2 == 0, mapped // 2, -(mapped + 1) // 2)
+
+
+def choose_rice_k_oracle(indices):
+    mapped = zigzag_map_oracle(indices)
+    if mapped.size == 0:
+        return 0
+    best_k = 0
+    best_cost = int(np.sum(mapped)) + mapped.size
+    for k in range(1, 25):
+        cost = int(np.sum(mapped >> k)) + mapped.size * (1 + k)
+        if cost < best_cost:
+            best_cost = cost
+            best_k = k
+    return best_k
+
+
+def int64_arrays(low, high, max_size=64):
+    return hnp.arrays(
+        np.int64, st.integers(0, max_size), elements=st.integers(low, high)
+    )
+
+
+@st.composite
+def scaled_bands(draw):
+    """Signed bands whose magnitudes reach 2**e, e in 0..30, so k spans 0..24."""
+    e = draw(st.integers(0, 30))
+    return draw(int64_arrays(-(2**e), 2**e, max_size=200))
+
+
 def test_zigzag_small_values():
     values = np.array([0, -1, 1, -2, 2, -3, 3])
     assert zigzag_map(values).tolist() == [0, 1, 2, 3, 4, 5, 6]
@@ -25,6 +65,23 @@ def test_zigzag_small_values():
 def test_zigzag_bijective(values):
     arr = np.asarray(values, dtype=np.int64)
     assert np.array_equal(zigzag_unmap(zigzag_map(arr)), arr)
+
+
+@given(int64_arrays(-(2**62), 2**62))
+def test_zigzag_map_matches_oracle(values):
+    assert np.array_equal(zigzag_map(values), zigzag_map_oracle(values))
+
+
+@given(int64_arrays(0, 2**63 - 1))
+def test_zigzag_unmap_matches_oracle(mapped):
+    assert np.array_equal(zigzag_unmap(mapped), zigzag_unmap_oracle(mapped))
+
+
+@given(int64_arrays(-(2**62), 2**62 - 1))
+def test_zigzag_roundtrip_int64(values):
+    mapped = zigzag_map(values)
+    assert (mapped >= 0).all()
+    assert np.array_equal(zigzag_unmap(mapped), values)
 
 
 def test_zero_band_is_one_bit_per_sample():
@@ -93,6 +150,49 @@ def test_chosen_k_is_globally_minimal(values):
     costs = [rice_bit_cost(arr, j) for j in range(25)]
     assert costs[k] == min(costs)
     assert all(costs[j] > costs[k] for j in range(k))
+
+
+@given(scaled_bands())
+def test_chosen_k_matches_exhaustive_scan(values):
+    assert choose_rice_k(values) == choose_rice_k_oracle(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0] * 9,
+        [7],
+        [-(2**30)],
+        [2**30] * 5,  # optimum lies past the clamp: k = 24
+        [1] * 3 + [-(2**29)],
+    ],
+    ids=["empty", "all_zero", "one_value", "one_huge", "clamped", "skewed"],
+)
+def test_chosen_k_matches_exhaustive_scan_on_edges(values):
+    arr = np.asarray(values, dtype=np.int64)
+    assert choose_rice_k(arr) == choose_rice_k_oracle(arr)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[-1], [1], [3], [-3, 3], [1, -1, 1, -1], [6] * 4, [1] * 3 + [-2] * 5],
+)
+def test_chosen_k_ties_go_to_smallest(values):
+    arr = np.asarray(values, dtype=np.int64)
+    costs = [rice_bit_cost(arr, k) for k in range(25)]
+    k = choose_rice_k(arr)
+    assert k == choose_rice_k_oracle(arr)
+    assert costs[k] == min(costs)
+    # each case has a second minimizer above the chosen one
+    assert costs[k + 1] == costs[k]
+
+
+@given(st.integers(1, 24), st.integers(1, 40))
+def test_chosen_k_at_every_start_point(k_mean, n):
+    # a flat band of mapped value 2**k_mean starts the search at k_mean
+    arr = np.full(n, 2 ** (k_mean - 1), dtype=np.int64)
+    assert choose_rice_k(arr) == choose_rice_k_oracle(arr)
 
 
 def _entries(bands, records):
