@@ -44,6 +44,8 @@ _RECORD = struct.Struct(">HBI")
 MAX_SCALE = 65536.0
 MAX_STEP = 65535
 MAX_PROBES = 20
+RATE_TOLERANCE = 0.02
+"""Rate control accepts a stream up to this fraction above the target."""
 
 LOSSLESS_BASE = None
 """Sentinel target meaning quantization step 1 everywhere."""
@@ -60,7 +62,6 @@ class BaseConfig:
     levels_h: int = 5
     levels_v: int = 2
     target_bpp: float | None = 2.0
-    rate_tolerance: float = 0.02
 
     def __post_init__(self) -> None:
         if not 1 <= self.levels_h <= 6:
@@ -71,8 +72,6 @@ class BaseConfig:
             raise CodecError("levels_v cannot exceed levels_h")
         if self.target_bpp is not None and not self.target_bpp > 0:
             raise CodecError("target_bpp must be positive or LOSSLESS_BASE")
-        if self.rate_tolerance < 0:
-            raise CodecError("rate_tolerance cannot be negative")
 
 
 class BandRecord(NamedTuple):
@@ -179,7 +178,7 @@ def _rate_control_on_bands(
             sizes[step] = 8 * total
         return sizes[step]
 
-    budget = config.target_bpp * (1.0 + config.rate_tolerance) * image.pixel_count
+    budget = config.target_bpp * (1.0 + RATE_TOLERANCE) * image.pixel_count
     lo, hi = 1.0, MAX_SCALE
     if size_bits(lo) <= budget:
         return steps_for(lo), False

@@ -183,8 +183,6 @@ def bench_sweep(
         LosslessCoderId.PREDICTIVE,
         LosslessCoderId.WAVELET,
     ),
-    levels_h: int = 5,
-    levels_v: int = 2,
 ) -> list[SweepRow]:
     """Measure every (target bpp, coder) point; target 0 means no base layer.
 
@@ -201,12 +199,7 @@ def bench_sweep(
     rows = []
     for coder in sorted(LosslessCoderId(c) for c in set(coders)):
         for target in sorted(set(float(t) for t in grid)):
-            if target == 0:
-                config = None
-            else:
-                config = BaseConfig(
-                    levels_h=levels_h, levels_v=levels_v, target_bpp=target
-                )
+            config = None if target == 0 else BaseConfig(target_bpp=target)
             details = encode_two_layer_detailed(image, config, coder)
             decoded = decode_two_layer(details.file_bytes)
             if details.base_image is not None:

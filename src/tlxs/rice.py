@@ -6,10 +6,15 @@ parameter ``k`` is coded as ``v >> k`` one-bits, a terminating zero bit, then
 the low ``k`` bits of ``v`` most significant first. ``k`` may range over
 0..24.
 
-Encoding assembles whole bands as numpy bit arrays. Band decoding walks the
-positions of zero bits; a per-sample-``k`` decoder reads big-endian 64-bit
-windows (:func:`byte_windows`) instead. Either keeps the per-sample Python
-work down to a few integer operations.
+Encoding assembles whole bands as numpy bit arrays, and band decoding takes
+them apart with array passes only. Each code ends at a zero bit, so a band at
+``k = 0`` ends its codes at its first ``count`` zero bits. At ``k > 0`` the
+code ending at zero bit ``z`` is followed by the one ending at the first zero
+at or after ``z + 1 + k``; :func:`decode_band` tabulates that jump per zero
+bit and follows it from the first zero by pointer doubling, in
+``ceil(log2(count))`` rounds. A per-sample-``k`` decoder reads big-endian
+64-bit windows (:func:`byte_windows`) instead, with a few integer operations
+of Python work per sample.
 
 Band section: the base layer and the wavelet extension coder both store a
 sequence of bands, each coded at its own cost-minimizing ``k`` (found by a
@@ -117,9 +122,44 @@ def decode_band(bits: np.ndarray, count: int, k: int) -> np.ndarray:
     """Decode ``count`` signed values; the bit array must be exactly consumed."""
     if not 0 <= k <= MAX_RICE_K:
         raise ValueError(f"rice parameter {k} out of range")
-    mapped, consumed = decode_mapped(bits, count, k)
-    if consumed != bits.size:
+    # Every code takes at least 1 + k bits; checked before any allocation.
+    if count * (1 + k) > bits.size:
+        raise BitstreamError(f"band cannot hold {count} samples in {bits.size} bits")
+    if count == 0:
+        if bits.size:
+            raise BitstreamError("trailing bits after band payload")
+        return np.zeros(0, dtype=np.int64)
+    zeros = np.flatnonzero(bits == 0)
+    if k == 0:
+        if zeros.size < count:
+            raise BitstreamError("bitstream truncated inside band")
+        terms = zeros[:count]
+    else:
+        # jump[i]: index of the zero ending the code after the one ending at
+        # zero i; index zeros.size stands for "past the end" and maps to
+        # itself. chain[i] is the zero ending code i.
+        jump = np.append(np.searchsorted(zeros, zeros + (1 + k)), zeros.size)
+        chain = np.zeros(1, dtype=np.intp)
+        while chain.size < count:
+            chain = np.concatenate((chain, jump[chain]))
+            jump = jump[jump]
+        chain = chain[:count]
+        if chain[-1] == zeros.size:
+            raise BitstreamError("bitstream truncated inside band")
+        terms = zeros[chain]
+    consumed = int(terms[-1]) + 1 + k
+    if consumed > bits.size:
+        raise BitstreamError("bitstream truncated inside band")
+    if consumed < bits.size:
         raise BitstreamError("trailing bits after band payload")
+    # quotient: the run of ones from each code's start to its terminator
+    mapped = np.empty(count, dtype=np.int64)
+    mapped[0] = 0
+    mapped[1:] = terms[:-1] + (1 + k)
+    np.subtract(terms, mapped, out=mapped)
+    for j in range(1, k + 1):
+        mapped <<= 1
+        mapped |= bits[terms + j]
     return zigzag_unmap(mapped)
 
 
@@ -151,10 +191,6 @@ def decode_bands(
         raise BitstreamError("declared band sizes do not match band section length")
     pos = 0
     for index, (count, k, bits) in enumerate(entries):
-        if count > bits:
-            raise BitstreamError(
-                f"band {index} cannot hold {count} samples in {bits} bits"
-            )
         nbytes = (bits + 7) // 8
         band_bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=pos)
@@ -163,48 +199,6 @@ def decode_bands(
         if band_bits[bits:].any():
             raise BitstreamError(f"nonzero padding after band {index}")
         yield decode_band(band_bits[:bits], count, k)
-
-
-def decode_mapped(bits: np.ndarray, count: int, k: int) -> tuple[np.ndarray, int]:
-    """Decode ``count`` mapped values at fixed ``k``; returns (values, bits used)."""
-    if count == 0:
-        return np.zeros(0, dtype=np.int64), 0
-    nbits = bits.size
-    zero_positions = np.flatnonzero(bits == 0)
-    if k == 0:
-        if zero_positions.size < count:
-            raise BitstreamError("bitstream truncated inside band")
-        terms = zero_positions[:count].astype(np.int64)
-        starts = np.empty(count, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = terms[:-1] + 1
-        q = terms - starts
-        return q, int(terms[-1]) + 1
-    zeros = zero_positions.tolist()
-    nzeros = len(zeros)
-    terms = []
-    pos = 0
-    zi = 0
-    for _ in range(count):
-        while zi < nzeros and zeros[zi] < pos:
-            zi += 1
-        if zi >= nzeros:
-            raise BitstreamError("bitstream truncated inside band")
-        t = zeros[zi]
-        zi += 1
-        terms.append(t)
-        pos = t + 1 + k
-    if pos > nbits:
-        raise BitstreamError("bitstream truncated inside band")
-    term_arr = np.asarray(terms, dtype=np.int64)
-    starts = np.empty(count, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = term_arr[:-1] + 1 + k
-    q = term_arr - starts
-    rem = np.zeros(count, dtype=np.int64)
-    for j in range(k):
-        rem = (rem << 1) | bits[term_arr + 1 + j]
-    return (q << k) | rem, pos
 
 
 def byte_windows(data: bytes) -> list[int]:

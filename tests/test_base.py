@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from tlxs import dwt, rice
 from tlxs.base import (
     LOSSLESS_BASE,
+    RATE_TOLERANCE,
     BaseConfig,
     decode_base,
     encode_base,
@@ -54,7 +55,7 @@ def rate_control_oracle(image, config):
                     total += (rice.rice_bit_cost(indices, k) + 7) // 8
         return 8 * total
 
-    budget = config.target_bpp * (1.0 + config.rate_tolerance) * image.pixel_count
+    budget = config.target_bpp * (1.0 + RATE_TOLERANCE) * image.pixel_count
     lo, hi = 1.0, 65536.0
     if size_bits(lo) <= budget:
         return (1,) * n_bands, False, probed

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -41,6 +43,55 @@ def choose_rice_k_oracle(indices):
             best_cost = cost
             best_k = k
     return best_k
+
+
+def decode_mapped_oracle(bits, count, k):
+    """The zero-position walker ``decode_band`` replaced; returns (values, bits used)."""
+    if count == 0:
+        return np.zeros(0, dtype=np.int64), 0
+    nbits = bits.size
+    zero_positions = np.flatnonzero(bits == 0)
+    if k == 0:
+        if zero_positions.size < count:
+            raise BitstreamError("bitstream truncated inside band")
+        terms = zero_positions[:count].astype(np.int64)
+        starts = np.empty(count, dtype=np.int64)
+        starts[0] = 0
+        starts[1:] = terms[:-1] + 1
+        q = terms - starts
+        return q, int(terms[-1]) + 1
+    zeros = zero_positions.tolist()
+    nzeros = len(zeros)
+    terms = []
+    pos = 0
+    zi = 0
+    for _ in range(count):
+        while zi < nzeros and zeros[zi] < pos:
+            zi += 1
+        if zi >= nzeros:
+            raise BitstreamError("bitstream truncated inside band")
+        t = zeros[zi]
+        zi += 1
+        terms.append(t)
+        pos = t + 1 + k
+    if pos > nbits:
+        raise BitstreamError("bitstream truncated inside band")
+    term_arr = np.asarray(terms, dtype=np.int64)
+    starts = np.empty(count, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = term_arr[:-1] + 1 + k
+    q = term_arr - starts
+    rem = np.zeros(count, dtype=np.int64)
+    for j in range(k):
+        rem = (rem << 1) | bits[term_arr + 1 + j]
+    return (q << k) | rem, pos
+
+
+def decode_band_oracle(bits, count, k):
+    mapped, consumed = decode_mapped_oracle(bits, count, k)
+    if consumed != bits.size:
+        raise BitstreamError("trailing bits after band payload")
+    return zigzag_unmap(mapped)
 
 
 def int64_arrays(low, high, max_size=64):
@@ -117,6 +168,92 @@ def test_trailing_bits_detected():
     padded = np.concatenate([bits, np.zeros(3, dtype=np.uint8)])
     with pytest.raises(BitstreamError):
         decode_band(padded, 3, 1)
+
+
+@st.composite
+def band_streams(draw):
+    """(bits, count, k) for a coded band; unary runs reach 128 bits."""
+    k = draw(st.integers(0, 24))
+    count = draw(st.sampled_from([0, 1, 2, 63, 64, 65]) | st.integers(0, 2000))
+    bound = 2 ** (k + 6)
+    values = draw(hnp.arrays(np.int64, count, elements=st.integers(-bound, bound)))
+    return encode_band(values, k), count, k
+
+
+def assert_decodes_like_oracle(bits, count, k):
+    try:
+        want = decode_band_oracle(bits, count, k)
+    except BitstreamError:
+        with pytest.raises(BitstreamError):
+            decode_band(bits, count, k)
+    else:
+        assert np.array_equal(decode_band(bits, count, k), want)
+
+
+@given(band_streams(), st.data())
+def test_decode_matches_walker_oracle(stream, data):
+    bits, count, k = stream
+    assert_decodes_like_oracle(bits, count, k)
+    if bits.size:
+        flipped = bits.copy()
+        flipped[data.draw(st.integers(0, bits.size - 1))] ^= 1
+        assert_decodes_like_oracle(flipped, count, k)
+        cut = data.draw(st.integers(1, min(k + 1, bits.size)))
+        assert_decodes_like_oracle(bits[:-cut], count, k)
+    for extra in (0, 1):
+        longer = np.append(bits, np.uint8(extra))
+        assert_decodes_like_oracle(longer, count, k)
+
+
+@pytest.mark.parametrize("k", range(1, 25))
+def test_all_ones_band_rejected(k):
+    # no zero bit ends any code, though the size admits 40 codes
+    with pytest.raises(BitstreamError, match="truncated"):
+        decode_band(np.ones(40 * (1 + k), dtype=np.uint8), 40, k)
+
+
+def test_all_zero_band_at_largest_k():
+    # every code is a lone terminator plus 24 zero remainder bits
+    bits = np.zeros(1000 * 25, dtype=np.uint8)
+    assert np.array_equal(encode_band(np.zeros(1000, dtype=np.int64), 24), bits)
+    assert np.array_equal(decode_band(bits, 1000, 24), np.zeros(1000))
+
+
+def test_impossible_count_rejected_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BitstreamError, match="cannot hold"):
+            decode_band(np.zeros(8, dtype=np.uint8), 10**9, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _random_band(nbits, k):
+    values = np.random.default_rng(5).integers(-3, 4, size=nbits // 3)
+    return encode_band(values, k), values.size
+
+
+@pytest.mark.parametrize(
+    "bits, count, k",
+    [
+        (np.zeros(2**20, dtype=np.uint8), 2**20, 0),
+        (*_random_band(2**20, 1), 1),
+        (np.zeros(2**20, dtype=np.uint8), 2**18, 3),
+        (np.zeros(25 * (2**20 // 25), dtype=np.uint8), 2**20 // 25, 24),
+    ],
+    ids=["k0_zeros", "k1_random", "k3_zeros", "k24_zeros"],
+)
+def test_decode_memory_per_input_bit(bits, count, k):
+    tracemalloc.start()
+    try:
+        out = decode_band(bits, count, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.size == count
+    assert peak <= 48 * bits.size
 
 
 def test_choose_k_all_zero():
