@@ -291,9 +291,12 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
 def decode_base(payload: bytes) -> PlanarImage:
     """Reconstruct the base image; bit-exact mirror of the encoder's own view."""
     info = parse_base_header(payload)
+    records = [r for r in info.records if r.bits]
     coded = rice.decode_bands(
         payload[info.data_offset :],
-        [(r.width * r.height, r.k, r.bits) for r in info.records if r.bits],
+        [(r.width * r.height, r.k, r.bits) for r in records],
+        [f"base component {r.component}: band {r.name}" for r in records],
+        info.data_offset,
     )
     limit = (1 << (info.bit_depth + info.levels_h + info.levels_v + 1)) + MAX_STEP
     bands_per_comp = len(info.records) // info.components

@@ -334,7 +334,8 @@ def decode_wavelet_lossless(
 
     limit = 1 << (depth + 2 * _WAVELET_LEVELS + 1)
     bands = []
-    decoded = rice.decode_bands(data[header_size:], entries)
+    names = [f"band {name}" for name, _, _ in layout]
+    decoded = rice.decode_bands(data[header_size:], entries, names, header_size)
     for (_, bw, bh), values in zip(layout, decoded):
         if values.size and int(np.abs(values).max()) > limit:
             raise BitstreamError("coefficient out of range")
@@ -394,7 +395,10 @@ def decode_extension(
         pos += _EXT_LEN.size
         if pos + length > len(data):
             raise BitstreamError("extension component payload truncated")
-        planes.append(decode(data[pos : pos + length], width, height, depth))
+        try:
+            planes.append(decode(data[pos : pos + length], width, height, depth))
+        except BitstreamError as err:
+            raise BitstreamError(f"extension component {len(planes)}: {err}") from err
         pos += length
     if pos != len(data):
         raise BitstreamError("trailing bytes after extension payload")

@@ -6,15 +6,15 @@ parameter ``k`` is coded as ``v >> k`` one-bits, a terminating zero bit, then
 the low ``k`` bits of ``v`` most significant first. ``k`` may range over
 0..24.
 
-Encoding assembles whole bands as numpy bit arrays, and band decoding takes
-them apart with array passes only. Each code ends at a zero bit, so a band at
-``k = 0`` ends its codes at its first ``count`` zero bits. At ``k > 0`` the
-code ending at zero bit ``z`` is followed by the one ending at the first zero
-at or after ``z + 1 + k``; :func:`decode_band` tabulates that jump per zero
-bit and follows it from the first zero by pointer doubling, in
-``ceil(log2(count))`` rounds. A per-sample-``k`` decoder reads big-endian
-64-bit windows (:func:`byte_windows`) instead, with a few integer operations
-of Python work per sample.
+Encoding assembles whole bands as numpy bit arrays (:func:`pack_codes`), and
+band decoding takes them apart with array passes only. Each code ends at a
+zero bit, so a band at ``k = 0`` ends its codes at its first ``count`` zero
+bits. At ``k > 0`` the code ending at zero bit ``z`` is followed by the one
+ending at the first zero at or after ``z + 1 + k``, at most ``k`` zeros on;
+:func:`decode_band` tabulates that jump with ``k`` shifted comparisons and
+follows it by pointer doubling in ``ceil(log2(count))`` rounds. A per-sample
+``k`` decoder reads big-endian 64-bit windows (:func:`byte_windows`) instead,
+with a few integer operations of Python work per sample.
 
 Band section: the base layer and the wavelet extension coder both store a
 sequence of bands, each coded at its own cost-minimizing ``k`` (found by a
@@ -33,6 +33,7 @@ import numpy as np
 from .errors import BitstreamError
 
 MAX_RICE_K = 24
+_PACK_BLOCK = 1 << 15
 
 
 def zigzag_map(values: np.ndarray) -> np.ndarray:
@@ -88,34 +89,28 @@ def encode_band(indices: np.ndarray, k: int) -> np.ndarray:
     if not 0 <= k <= MAX_RICE_K:
         raise ValueError(f"rice parameter {k} out of range")
     mapped = zigzag_map(indices).ravel()
-    return pack_codes(mapped, np.full(mapped.shape, k, dtype=np.int64))
+    return pack_codes(mapped, k)
 
 
-def pack_codes(mapped: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Assemble Golomb-Rice codes for ``mapped`` values with per-value ``k``."""
-    if mapped.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    q = mapped >> k
-    lengths = q + 1 + k
-    total = int(lengths.sum())
-    starts = np.zeros(mapped.size, dtype=np.int64)
-    np.cumsum(lengths[:-1], out=starts[1:])
+def pack_codes(mapped: np.ndarray, k: np.ndarray | int) -> np.ndarray:
+    """Assemble Golomb-Rice codes for ``mapped`` values with per-value (or one) ``k``.
 
-    bits = np.zeros(total, dtype=np.uint8)
-    # Unary runs of ones via a difference array: +1 at each run start, -1 at
-    # each run end, then a running sum marks every position inside a run.
-    # Start and end indices are each unique, so fancy indexing is safe.
-    delta = np.zeros(total + 1, dtype=np.int64)
-    delta[starts] = 1
-    delta[starts + q] -= 1
-    bits[np.cumsum(delta[:total]) > 0] = 1
-    # Remainder bits, MSB first; bit j only exists for values with k > j.
-    max_k = int(k.max())
-    rem_base = starts + q + 1
-    for j in range(max_k):
-        sel = k > j
-        bits[rem_base[sel] + j] = (mapped[sel] >> (k[sel] - 1 - j)) & 1
-    return bits
+    Blocks of ``_PACK_BLOCK`` codes start as all ones, the unary parts. Code
+    ``i`` ends before ``ends[i]``, its remainder bit ``b`` at ``ends[i] - 1 - b``.
+    """
+    k = np.broadcast_to(k, mapped.shape)
+    chunks = [np.zeros(0, dtype=np.uint8)]
+    for start in range(0, mapped.size, _PACK_BLOCK):
+        m, kb = mapped[start : start + _PACK_BLOCK], k[start : start + _PACK_BLOCK]
+        ends = np.cumsum((m >> kb) + kb + 1)
+        bits = np.ones(int(ends[-1]), dtype=np.uint8)
+        bits[ends - 1 - kb] = 0
+        k_min = int(kb.min())
+        for b in range(int(kb.max())):
+            has = slice(None) if b < k_min else kb > b
+            bits[ends[has] - 1 - b] = (m[has] >> b) & 1
+        chunks.append(bits)
+    return np.concatenate(chunks)
 
 
 def decode_band(bits: np.ndarray, count: int, k: int) -> np.ndarray:
@@ -135,16 +130,20 @@ def decode_band(bits: np.ndarray, count: int, k: int) -> np.ndarray:
             raise BitstreamError("bitstream truncated inside band")
         terms = zeros[:count]
     else:
-        # jump[i]: index of the zero ending the code after the one ending at
-        # zero i; index zeros.size stands for "past the end" and maps to
-        # itself. chain[i] is the zero ending code i.
-        jump = np.append(np.searchsorted(zeros, zeros + (1 + k)), zeros.size)
+        # jump[i]: the zero ending the code after zero i's, i + 1 plus how many
+        # of the next k zeros lie within k bits of zero i; n is "past the end".
+        n = zeros.size
+        near = np.zeros(n, dtype=np.uint8)
+        for d in range(1, min(k, n - 1) + 1):
+            near[: n - d] += zeros[d:] - zeros[: n - d] <= k
+        jump = np.append(np.arange(1, n + 1) + near, n)
+        # chain[i] is the zero ending code i; the last round squares no jump
         chain = np.zeros(1, dtype=np.intp)
         while chain.size < count:
-            chain = np.concatenate((chain, jump[chain]))
-            jump = jump[jump]
-        chain = chain[:count]
-        if chain[-1] == zeros.size:
+            chain = np.concatenate((chain, jump[chain[: count - chain.size]]))
+            if chain.size < count:
+                jump = jump[jump]
+        if chain[-1] == n:
             raise BitstreamError("bitstream truncated inside band")
         terms = zeros[chain]
     consumed = int(terms[-1]) + 1 + k
@@ -180,12 +179,18 @@ def encode_bands(bands: Iterable[np.ndarray]) -> tuple[list[tuple[int, int]], by
 
 
 def decode_bands(
-    payload: bytes, entries: Sequence[tuple[int, int, int]]
+    payload: bytes,
+    entries: Sequence[tuple[int, int, int]],
+    names: Sequence[str] = (),
+    offset: int = 0,
 ) -> Iterator[np.ndarray]:
     """Yield the signed values of each band described by ``(count, k, bits)``.
 
     ``payload`` must be exactly the section :func:`encode_bands` wrote for
     these entries. Every ``k`` must already be within ``0..MAX_RICE_K``.
+    A :class:`BitstreamError` inside band ``i`` is prefixed with
+    ``names[i]`` (or ``band i``) and the band's first bit, counted from
+    ``offset`` bytes before ``payload``: the start of the caller's payload.
     """
     if sum((bits + 7) // 8 for _, _, bits in entries) != len(payload):
         raise BitstreamError("declared band sizes do not match band section length")
@@ -195,10 +200,15 @@ def decode_bands(
         band_bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=pos)
         )
+        try:
+            if band_bits[bits:].any():
+                raise BitstreamError(f"nonzero padding after band {index}")
+            values = decode_band(band_bits[:bits], count, k)
+        except BitstreamError as err:
+            name = names[index] if names else f"band {index}"
+            raise BitstreamError(f"{name} at bit {8 * (offset + pos)}: {err}") from err
         pos += nbytes
-        if band_bits[bits:].any():
-            raise BitstreamError(f"nonzero padding after band {index}")
-        yield decode_band(band_bits[:bits], count, k)
+        yield values
 
 
 def byte_windows(data: bytes) -> list[int]:

@@ -274,3 +274,22 @@ def test_byte_flips_never_crash():
                 continue
             # silent differences are tolerable only for in-range images
             assert isinstance(out, PlanarImage)
+
+
+def test_band_error_names_its_location():
+    planes = [natural_image(64, 64, 8, seed=seed).planes[0] for seed in (1, 2, 3)]
+    image = PlanarImage.from_planes(planes, 8)
+    payload = bytearray(encode_base(image, BaseConfig(target_bpp=2.0)))
+    info = parse_base_header(bytes(payload))
+    pos = info.data_offset
+    for record in info.records:
+        if record.component == 1 and record.bits >= 64:
+            break
+        pos += (record.bits + 7) // 8
+    # ones up to the band's last byte: too few zero bits end its codes, and
+    # the padding stays zero
+    nbytes = (record.bits + 7) // 8
+    payload[pos : pos + nbytes - 1] = b"\xff" * (nbytes - 1)
+    where = f"base component 1: band {record.name} at bit {8 * pos}: "
+    with pytest.raises(BitstreamError, match=f"^{where}bitstream truncated inside band"):
+        decode_base(bytes(payload))

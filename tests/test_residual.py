@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from tlxs import rice
+from tlxs import dwt, rice
 from tlxs.errors import BitstreamError, CodecError
 from tlxs.image import PlanarImage
 from tlxs.residual import (
     LosslessCoderId,
     ResidualPlane,
+    _WAVELET_RECORD,
     _med_array,
     _rice_ks,
     _unpredict,
@@ -439,3 +440,22 @@ def test_extension_byte_flips_never_crash(coder):
             (out,) = planes
             assert out.shape == (32, 32)
             assert 0 <= int(out.min()) and int(out.max()) < (1 << depth)
+
+
+def test_wavelet_band_error_names_its_location():
+    planes = [natural_image(32, 32, 8, seed=seed).planes[0] for seed in (1, 2)]
+    payload = bytearray(encode_extension(planes, 8, LosslessCoderId.WAVELET))
+    layout = dwt.band_dimensions(32, 32, 3, 3)
+    records, _ = rice.encode_bands(dwt.decompose(planes[1], 3, 3))
+    assert layout[-1][0] == "HH1"
+    # the last component's payload ends the extension payload, and its band
+    # records precede its bands
+    component_start = len(payload) - len(encode_wavelet_lossless(planes[1], 8))
+    offset = _WAVELET_RECORD.size * len(layout)
+    offset += sum((bits + 7) // 8 for _, bits in records[:-1])
+    nbytes = (records[-1][1] + 7) // 8
+    start = component_start + offset
+    payload[start : start + nbytes - 1] = b"\xff" * (nbytes - 1)
+    where = f"extension component 1: band HH1 at bit {8 * offset}: "
+    with pytest.raises(BitstreamError, match=f"^{where}bitstream truncated inside band"):
+        decode_extension(bytes(payload), 32, 32, 2)

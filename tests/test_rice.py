@@ -8,11 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from tlxs.errors import BitstreamError
 from tlxs.rice import (
+    MAX_RICE_K,
     choose_rice_k,
     decode_band,
     decode_bands,
     encode_band,
     encode_bands,
+    pack_codes,
     rice_bit_cost,
     zigzag_map,
     zigzag_unmap,
@@ -43,6 +45,28 @@ def choose_rice_k_oracle(indices):
             best_cost = cost
             best_k = k
     return best_k
+
+
+def pack_codes_oracle(mapped, k):
+    """The difference-array packer ``pack_codes`` replaced."""
+    if mapped.size == 0:
+        return np.zeros(0, dtype=np.uint8)
+    q = mapped >> k
+    lengths = q + 1 + k
+    total = int(lengths.sum())
+    starts = np.zeros(mapped.size, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    bits = np.zeros(total, dtype=np.uint8)
+    delta = np.zeros(total + 1, dtype=np.int64)
+    delta[starts] = 1
+    delta[starts + q] -= 1
+    bits[np.cumsum(delta[:total]) > 0] = 1
+    max_k = int(k.max())
+    rem_base = starts + q + 1
+    for j in range(max_k):
+        sel = k > j
+        bits[rem_base[sel] + j] = (mapped[sel] >> (k[sel] - 1 - j)) & 1
+    return bits
 
 
 def decode_mapped_oracle(bits, count, k):
@@ -203,6 +227,91 @@ def test_decode_matches_walker_oracle(stream, data):
     for extra in (0, 1):
         longer = np.append(bits, np.uint8(extra))
         assert_decodes_like_oracle(longer, count, k)
+
+
+@st.composite
+def code_sequences(draw):
+    """(mapped, k) with per-sample, fixed or fixed-but-one k in 0..24.
+
+    Quotients are mostly short, but a few unary runs reach 2**17 ones.
+    """
+    n = draw(st.sampled_from([0, 1]) | st.integers(0, 300))
+    shape = draw(st.sampled_from(["per_sample", "fixed", "outlier"]))
+    if shape == "per_sample":
+        k = draw(hnp.arrays(np.int64, n, elements=st.integers(0, MAX_RICE_K)))
+    else:
+        k = np.full(n, draw(st.integers(0, MAX_RICE_K)), dtype=np.int64)
+        if shape == "outlier" and n:
+            k[draw(st.integers(0, n - 1))] = draw(st.integers(0, MAX_RICE_K))
+    q = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 4)))
+    for _ in range(draw(st.integers(0, min(n, 3)))):
+        q[draw(st.integers(0, n - 1))] = draw(st.integers(0, 2**17))
+    low = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 2**MAX_RICE_K - 1)))
+    return (q << k) | (low & ((1 << k) - 1)), k
+
+
+@given(code_sequences())
+def test_pack_codes_matches_oracle(codes):
+    mapped, k = codes
+    assert np.array_equal(pack_codes(mapped, k), pack_codes_oracle(mapped, k))
+    if k.size and (k == k[0]).all():
+        assert np.array_equal(pack_codes(mapped, int(k[0])), pack_codes_oracle(mapped, k))
+
+
+def _pack_case(name):
+    n = 512 * 512
+    rng = np.random.default_rng(9)
+    if name == "k0_zeros":
+        return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    if name == "k0_geometric":
+        return rng.geometric(0.5, n) - 1, np.zeros(n, dtype=np.int64)
+    if name == "k3_random":
+        return rng.integers(0, 64, n), np.full(n, 3)
+    if name == "k24_small":
+        return rng.integers(0, 8, n), np.full(n, 24)
+    if name == "k_random":
+        k = rng.integers(0, 25, n)
+        return rng.integers(0, 3 << k), k
+    k = np.full(n, 2)
+    k[n // 2] = 24
+    return rng.integers(0, 12, n), k
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["k0_zeros", "k0_geometric", "k3_random", "k24_small", "k_random", "k2_one_k24"],
+)
+def test_pack_memory_per_coded_bit(name):
+    mapped, k = (np.asarray(a, dtype=np.int64) for a in _pack_case(name))
+    tracemalloc.start()
+    try:
+        bits = pack_codes(mapped, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the block-wise packer reads 2-4 B/bit here, pack_codes_oracle up to 49
+    assert peak <= 8 * bits.size
+
+
+@pytest.mark.parametrize(
+    "values, k",
+    [
+        ([(3 << 5) | 31], 5),  # count 1; the last zero has no zero after it
+        ([0], 7),  # count 1; the code is all zeros
+        ([5, 1, (1 << 4) - 1], 4),  # the last code's remainder is all ones
+        ([2, 0, 9, (2 << 3) | 6], 3),  # one zero follows the last terminator
+        ([0] * 5 + [(1 << 6) - 1], 6),  # all-zero codes, then a remainder of ones
+    ],
+)
+def test_decode_band_edges_match_oracle(values, k):
+    bits = pack_codes(np.asarray(values, dtype=np.int64), k)
+    count = len(values)
+    # the last code ends exactly at bits.size, one bit past it, and one bit before
+    assert_decodes_like_oracle(bits, count, k)
+    assert_decodes_like_oracle(bits[:-1], count, k)
+    for extra in (0, 1):
+        assert_decodes_like_oracle(np.append(bits, np.uint8(extra)), count, k)
+    assert np.array_equal(decode_band(bits, count, k), zigzag_unmap(np.asarray(values)))
 
 
 @pytest.mark.parametrize("k", range(1, 25))
