@@ -15,7 +15,7 @@ from .errors import CodecError
 from .image import bits_per_pixel
 from .pipeline import bench_sweep, decode_two_layer, encode_two_layer_detailed, rows_to_csv
 from .pnm import load_pnm, store_pnm
-from .residual import LosslessCoderId
+from .residual import LosslessCoderId, parse_extension_header
 
 _CODER_BY_NAME = {
     "predictive": LosslessCoderId.PREDICTIVE,
@@ -144,6 +144,19 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 f"{record.width:>4}x{record.height:<5} "
                 f"{record.step:<6} {record.k:<2} {record.bits}"
             )
+    if ext:
+        info = parse_extension_header(ext, meta.width, meta.height, meta.components)
+        print(f"extension coder: {info.coder.name.lower()}, depth {info.depth}")
+        for comp, part in enumerate(info.components):
+            print(f"extension component {comp}: {part.length} bytes")
+        if info.coder == LosslessCoderId.WAVELET:
+            print("band  comp  size       k  bits")
+            for comp, part in enumerate(info.components):
+                for band in part.bands:
+                    print(
+                        f"{band.name:<5} {comp:<5} {band.width:>4}x{band.height:<5} "
+                        f"{band.k:<2} {band.bits}"
+                    )
     return 0
 
 

@@ -43,10 +43,9 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
-    try:
-        return int(token), pos
-    except ValueError:
-        raise PnmError(f"bad {what} in header: {token!r}") from None
+    if not token.isdigit():  # ASCII [0-9]+ only: int() would also take "+16" or "1_6"
+        raise PnmError(f"bad {what} in header: {token!r}")
+    return int(token), pos
 
 
 def load_pnm(path: str) -> PlanarImage:

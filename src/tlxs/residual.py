@@ -29,8 +29,13 @@ The encoder knows every mapped value up front, so it computes the whole
 parameter schedule at once: the halvings cut the scan into a 64-sample block
 and then 32-sample blocks, the accumulator entering each block follows from
 the block sums by a short recurrence, and within a block the mean is the
-entering accumulator plus a prefix sum over the count. The decoder tracks the
-same running mean sample by sample.
+entering accumulator plus a prefix sum over the count. The decoder cannot see
+ahead, but the parameter seldom changes: the top 12 bits of its bit window
+index a per-``k`` table of the complete codes they begin with
+(:data:`tlxs.rice.PREFIX_ROWS`). It commits those codes one at a time,
+updating the running mean after each, and ends the run at the first code
+after which ``k`` differs from the table's. A code longer than the prefix is
+parsed on its own.
 
 Extension payload layout (big-endian)::
 
@@ -39,7 +44,8 @@ Extension payload layout (big-endian)::
 A predictive component payload is one Rice-coded raster scan, zero-padded to
 a byte. A wavelet component payload is, per band in canonical order (see
 :mod:`tlxs.dwt`), rice k u8 and coded length in bits u32, followed by the
-band section of every band (see :mod:`tlxs.rice`).
+band section of every band (see :mod:`tlxs.rice`). :func:`parse_extension_header`
+reads all of this layout without decoding samples.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import accumulate
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -233,8 +239,17 @@ def encode_predictive(plane: PlaneLike, depth: int) -> bytes:
     return np.packbits(rice.pack_codes(mapped, _rice_ks(mapped))).tobytes()
 
 
+# Rice parameter of every running mean with k < PREFIX_BITS: a list index
+# beats bit_length
+_K_OF_MEAN = [max(mean.bit_length() - 1, 0) for mean in range(1 << rice.PREFIX_BITS)]
+
+
 def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.ndarray:
-    """Exact inverse of :func:`encode_predictive`."""
+    """Exact inverse of :func:`encode_predictive`.
+
+    A :class:`BitstreamError` names the sample (row, column) and the bit,
+    counted from the start of ``data``, where the stream went wrong.
+    """
     if width < 1 or height < 1:
         raise CodecError("empty plane dimensions")
     count = width * height
@@ -242,45 +257,114 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
     if count > nbits:  # every code takes at least one bit
         raise BitstreamError(f"{len(data)} bytes cannot hold {count} samples")
     win = rice.byte_windows(data)
+    rows = rice.PREFIX_ROWS
+    fill = rice.fill_prefix
+    k_of_mean = _K_OF_MEAN
+    means = len(k_of_mean)
+    top_shift = 64 - rice.PREFIX_BITS
+    top_mask = (1 << rice.PREFIX_BITS) - 1
     m64 = (1 << 64) - 1
     max_k = rice.MAX_RICE_K
     mapped = [0] * count
-    acc = n = pos = 0
-    for i in range(count):
-        k = (acc // (n or 1)).bit_length() - 1
-        if k < 0:
-            k = 0
-        elif k > max_k:
-            k = max_k
-        x = (win[pos >> 3] << (pos & 7)) & m64
-        q = 64 - (x ^ m64).bit_length()
-        m = 0
-        while q + k > 55:  # code may outrun the window's 57 sure bits: skip 32 ones
-            m += 32 << k
-            pos += 32
+    acc = n = pos = i = k = 0
+    row = rows[0]
+    while i < count:
+        top = (win[pos >> 3] >> (top_shift - (pos & 7))) & top_mask
+        codes = row[top]
+        if codes is None:
+            codes = fill(k, top)
+            row = rows[k]  # a first fill replaces the shared unfilled row
+        if codes:
+            # Commit codes while the running-mean k stays the table's. A code
+            # in a prefix is below means / 2, so from k < PREFIX_BITS the mean
+            # stays below means and k_of_mean covers it.
+            for m, end in codes:
+                mapped[i] = m
+                i += 1
+                acc += m
+                n += 1
+                if n == 64:
+                    acc >>= 1
+                    n = 32
+                new_k = k_of_mean[acc // n]
+                if new_k != k:
+                    k = new_k
+                    row = rows[k]
+                    break
+                if i == count:
+                    break
+            pos += end
+            if pos > nbits:
+                raise _truncated_in_group(codes, end, i, pos - end, nbits, width)
+            continue
+        # Codes longer than the prefix, one at a time: from k = PREFIX_BITS
+        # on, where every code is, without looking at the table.
+        while True:
             x = (win[pos >> 3] << (pos & 7)) & m64
             q = 64 - (x ^ m64).bit_length()
-        used = q + 1 + k
-        m += (q << k) | ((x >> (64 - used)) & ((1 << k) - 1))
-        pos += used
-        if pos > nbits:
-            raise BitstreamError("predictive stream truncated")
-        mapped[i] = m
-        acc += m
-        n += 1
-        if n == 64:
-            acc >>= 1
-            n = 32
+            m = 0
+            while q + k > 55:  # code may outrun the window's 57 sure bits: skip 32 ones
+                m += 32 << k
+                pos += 32
+                x = (win[pos >> 3] << (pos & 7)) & m64
+                q = 64 - (x ^ m64).bit_length()
+            used = q + 1 + k
+            m += (q << k) | ((x >> (64 - used)) & ((1 << k) - 1))
+            pos += used
+            if pos > nbits:
+                start = pos - (m >> k) - 1 - k
+                raise _located(i, width, start, "predictive stream truncated")
+            mapped[i] = m
+            i += 1
+            acc += m
+            n += 1
+            if n == 64:
+                acc >>= 1
+                n = 32
+            mean = acc // n
+            if mean < means:
+                k = k_of_mean[mean]
+                break
+            k = mean.bit_length() - 1
+            if k > max_k:
+                k = max_k
+            if i == count:
+                break
+        row = rows[k]
 
     if nbits - pos >= 8 or data[-1] & ((1 << (nbits - pos)) - 1):
-        raise BitstreamError("trailing data after predictive stream")
-    errors = rice.zigzag_unmap(np.asarray(mapped, dtype=np.int64)).reshape(
-        height, width
-    )
+        raise BitstreamError(f"at bit {pos}: trailing data after predictive stream")
+    mapped = np.fromiter(mapped, dtype=np.int64, count=count)
+    errors = rice.zigzag_unmap(mapped).reshape(height, width)
     samples = _unpredict(errors, depth)
-    if int(samples.min()) < 0 or int(samples.max()) > (1 << depth) - 1:
-        raise BitstreamError("decoded samples out of range")
+    high = (1 << depth) - 1
+    if int(samples.min()) < 0 or int(samples.max()) > high:
+        index = int(np.argmax((samples < 0) | (samples > high)))
+        ks = _rice_ks(mapped)
+        lengths = (mapped >> ks) + ks + 1
+        bit = int(lengths[:index].sum())
+        raise _located(index, width, bit, "decoded samples out of range")
     return samples
+
+
+def _truncated_in_group(
+    codes: tuple[tuple[int, int], ...], last: int, i: int, start: int, nbits: int, width: int
+) -> BitstreamError:
+    """Locate the first code of a group from bit ``start`` that ends past ``nbits``.
+
+    The group committed its codes up to the one ending at ``last``, the last
+    of them being sample ``i - 1``.
+    """
+    ends = [end for _, end in codes]
+    first = i - 1 - ends.index(last)
+    j = next(j for j, end in enumerate(ends) if start + end > nbits)
+    bit = start + ends[j - 1] if j else start
+    return _located(first + j, width, bit, "predictive stream truncated")
+
+
+def _located(index: int, width: int, bit: int, message: str) -> BitstreamError:
+    row, col = divmod(index, width)
+    return BitstreamError(f"sample ({row}, {col}) at bit {bit}: {message}")
 
 
 def _unpredict(errors: np.ndarray, depth: int) -> np.ndarray:
@@ -315,31 +399,50 @@ def encode_wavelet_lossless(plane: PlaneLike, depth: int) -> bytes:
     return b"".join(_WAVELET_RECORD.pack(k, bits) for k, bits in records) + section
 
 
+class WaveletBandRecord(NamedTuple):
+    """One band of a wavelet component payload as its record declares it."""
+
+    name: str
+    width: int
+    height: int
+    k: int
+    bits: int
+
+
+def _wavelet_bands(data: bytes | memoryview, width: int, height: int) -> tuple[WaveletBandRecord, ...]:
+    """Read the band records at the start of a wavelet component payload."""
+    layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
+    if len(data) < _WAVELET_RECORD.size * len(layout):
+        raise BitstreamError("wavelet payload truncated in band records")
+    bands = []
+    for i, (name, bw, bh) in enumerate(layout):
+        k, bits = _WAVELET_RECORD.unpack_from(data, i * _WAVELET_RECORD.size)
+        if k > rice.MAX_RICE_K:
+            raise BitstreamError(f"band declares rice k {k}")
+        bands.append(WaveletBandRecord(name, bw, bh, k, bits))
+    return tuple(bands)
+
+
 def decode_wavelet_lossless(
     data: bytes, width: int, height: int, depth: int
 ) -> np.ndarray:
     """Exact inverse of :func:`encode_wavelet_lossless`."""
     if width < 1 or height < 1:
         raise CodecError("empty plane dimensions")
-    layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
-    header_size = _WAVELET_RECORD.size * len(layout)
-    if len(data) < header_size:
-        raise BitstreamError("wavelet payload truncated in band records")
-    entries = []
-    for i, (_, bw, bh) in enumerate(layout):
-        k, nbits = _WAVELET_RECORD.unpack_from(data, i * _WAVELET_RECORD.size)
-        if k > rice.MAX_RICE_K:
-            raise BitstreamError(f"band declares rice k {k}")
-        entries.append((bw * bh, k, nbits))
-
+    records = _wavelet_bands(data, width, height)
+    header_size = _WAVELET_RECORD.size * len(records)
     limit = 1 << (depth + 2 * _WAVELET_LEVELS + 1)
     bands = []
-    names = [f"band {name}" for name, _, _ in layout]
-    decoded = rice.decode_bands(data[header_size:], entries, names, header_size)
-    for (_, bw, bh), values in zip(layout, decoded):
+    decoded = rice.decode_bands(
+        data[header_size:],
+        [(r.width * r.height, r.k, r.bits) for r in records],
+        [f"band {r.name}" for r in records],
+        header_size,
+    )
+    for record, values in zip(records, decoded):
         if values.size and int(np.abs(values).max()) > limit:
             raise BitstreamError("coefficient out of range")
-        bands.append(values.reshape(bh, bw))
+        bands.append(values.reshape(record.height, record.width))
     samples = dwt.recompose(bands, width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     if int(samples.min()) < 0 or int(samples.max()) > (1 << depth) - 1:
         raise BitstreamError("decoded samples out of range")
@@ -370,10 +473,27 @@ def encode_extension(
     return bytes(out)
 
 
-def decode_extension(
+class ExtensionComponent(NamedTuple):
+    """Where one component's payload lies in the extension payload."""
+
+    offset: int
+    length: int
+    bands: tuple[WaveletBandRecord, ...]  # empty for the predictive coder
+
+
+@dataclass(frozen=True)
+class ExtensionInfo:
+    """Everything the extension payload declares, without decoding samples."""
+
+    coder: LosslessCoderId
+    depth: int
+    components: tuple[ExtensionComponent, ...]
+
+
+def parse_extension_header(
     data: bytes, width: int, height: int, components: int
-) -> tuple[list[np.ndarray], LosslessCoderId, int]:
-    """Split and decode an extension payload; returns (planes, coder, depth)."""
+) -> ExtensionInfo:
+    """Read and validate the extension layout: coder, depth, component table, band records."""
     if len(data) < _EXT_FIXED.size:
         raise BitstreamError("extension payload shorter than its header")
     magic, coder_value, depth = _EXT_FIXED.unpack_from(data)
@@ -385,21 +505,40 @@ def decode_extension(
         raise BitstreamError(f"unknown lossless coder id {coder_value}") from None
     if not 2 <= depth <= 17:
         raise BitstreamError(f"bad extension depth {depth}")
-    decode = _DECODERS[coder]
-    planes = []
+    parts = []
     pos = _EXT_FIXED.size
-    for _ in range(components):
+    for comp in range(components):
         if pos + _EXT_LEN.size > len(data):
             raise BitstreamError("extension payload truncated in component table")
         (length,) = _EXT_LEN.unpack_from(data, pos)
         pos += _EXT_LEN.size
         if pos + length > len(data):
             raise BitstreamError("extension component payload truncated")
-        try:
-            planes.append(decode(data[pos : pos + length], width, height, depth))
-        except BitstreamError as err:
-            raise BitstreamError(f"extension component {len(planes)}: {err}") from err
+        bands: tuple[WaveletBandRecord, ...] = ()
+        if coder == LosslessCoderId.WAVELET:
+            try:
+                payload = memoryview(data)[pos : pos + length]
+                bands = _wavelet_bands(payload, width, height)
+            except BitstreamError as err:
+                raise BitstreamError(f"extension component {comp}: {err}") from err
+        parts.append(ExtensionComponent(pos, length, bands))
         pos += length
     if pos != len(data):
         raise BitstreamError("trailing bytes after extension payload")
-    return planes, coder, depth
+    return ExtensionInfo(coder, depth, tuple(parts))
+
+
+def decode_extension(
+    data: bytes, width: int, height: int, components: int
+) -> tuple[list[np.ndarray], LosslessCoderId, int]:
+    """Split and decode an extension payload; returns (planes, coder, depth)."""
+    info = parse_extension_header(data, width, height, components)
+    decode = _DECODERS[info.coder]
+    planes = []
+    for comp, part in enumerate(info.components):
+        payload = data[part.offset : part.offset + part.length]
+        try:
+            planes.append(decode(payload, width, height, info.depth))
+        except BitstreamError as err:
+            raise BitstreamError(f"extension component {comp}: {err}") from err
+    return planes, info.coder, info.depth

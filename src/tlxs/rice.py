@@ -13,8 +13,11 @@ bits. At ``k > 0`` the code ending at zero bit ``z`` is followed by the one
 ending at the first zero at or after ``z + 1 + k``, at most ``k`` zeros on;
 :func:`decode_band` tabulates that jump with ``k`` shifted comparisons and
 follows it by pointer doubling in ``ceil(log2(count))`` rounds. A per-sample
-``k`` decoder reads big-endian 64-bit windows (:func:`byte_windows`) instead,
-with a few integer operations of Python work per sample.
+``k`` decoder reads big-endian 64-bit windows (:func:`byte_windows`) instead.
+The top :data:`PREFIX_BITS` bits of a window index a per-``k`` table
+(:data:`PREFIX_ROWS`) whose entry lists every complete code at that ``k`` the
+prefix begins with, so one lookup parses a run of short codes for as long as
+their ``k`` holds; a code longer than the prefix is parsed on its own.
 
 Band section: the base layer and the wavelet extension coder both store a
 sequence of bands, each coded at its own cost-minimizing ``k`` (found by a
@@ -33,7 +36,17 @@ import numpy as np
 from .errors import BitstreamError
 
 MAX_RICE_K = 24
+PREFIX_BITS = 12
 _PACK_BLOCK = 1 << 15
+
+# PREFIX_ROWS[k][prefix] is prefix_codes(k, prefix), or None until
+# fill_prefix fills it on first use; it is kept for the process, since
+# entries depend on nothing but (k, prefix), so concurrent fills can only
+# repeat work. Every row starts as one shared unfilled row, and equal
+# (value, end) pairs share one interned tuple.
+_UNFILLED = [None] * (1 << PREFIX_BITS)
+PREFIX_ROWS = [_UNFILLED] * (MAX_RICE_K + 1)
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def zigzag_map(values: np.ndarray) -> np.ndarray:
@@ -211,13 +224,14 @@ def decode_bands(
         yield values
 
 
-def byte_windows(data: bytes) -> list[int]:
+def byte_windows(data: bytes) -> memoryview:
     """``win[p]`` = bytes ``p..p+7`` of ``data`` as a big-endian 64-bit int.
 
     One window per byte offset ``0..len(data)``; bytes past the end read as
     zero. The 64 bits from bit position ``pos`` (MSB first) are
     ``(win[pos >> 3] << (pos & 7)) & (2**64 - 1)``, of which at least the top
-    57 are stream bits or zero padding.
+    57 are stream bits or zero padding. The windows stay in one uint64 array,
+    8 bytes each, and indexing the view gives Python ints.
     """
     n = len(data)
     buf = np.zeros(n + 8, dtype=np.uint64)
@@ -225,4 +239,42 @@ def byte_windows(data: bytes) -> list[int]:
     win = np.zeros(n + 1, dtype=np.uint64)
     for i in range(8):
         win |= buf[i : i + n + 1] << np.uint64(56 - 8 * i)
-    return win.tolist()
+    return memoryview(win)
+
+
+def prefix_codes(k: int, prefix: int) -> tuple[tuple[int, int], ...]:
+    """Every complete code at parameter ``k`` that a ``PREFIX_BITS``-bit prefix begins with.
+
+    Codes are parsed from the prefix's most significant bit on and listed as
+    ``(mapped value, end bit)``, the end counted from the prefix's first bit;
+    the parse stops at the first code the prefix does not hold whole.
+    """
+    mask = (1 << PREFIX_BITS) - 1
+    codes = []
+    pos = 0
+    while True:
+        # ones from bit pos on; the bits shifted in past the prefix are zeros
+        q = PREFIX_BITS - (((prefix << pos) & mask) ^ mask).bit_length()
+        end = pos + q + 1 + k
+        if end > PREFIX_BITS:
+            return tuple(codes)
+        pair = ((q << k) | (prefix >> (PREFIX_BITS - end)) & ((1 << k) - 1), end)
+        codes.append(_PAIRS.setdefault(pair, pair))
+        pos = end
+
+
+def fill_prefix(k: int, prefix: int) -> tuple[tuple[int, int], ...]:
+    """Fill and return entry ``prefix`` of row ``k`` of :data:`PREFIX_ROWS`.
+
+    The prefixes that share its bits up to its last code's end, and hold no
+    further complete code, share the entry: those whose next ``r - k`` bits
+    are ones, ``r`` being the bits left after that end.
+    """
+    rows = PREFIX_ROWS
+    if rows[k] is _UNFILLED:
+        rows[k] = [None] * (1 << PREFIX_BITS)
+    codes = prefix_codes(k, prefix)
+    span = 1 << min(k, PREFIX_BITS - (codes[-1][1] if codes else 0))
+    first = prefix & -span
+    rows[k][first : first + span] = [codes] * span
+    return codes

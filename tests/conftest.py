@@ -38,3 +38,13 @@ def natural_256():
     from tlxs.synthetic import natural_image
 
     return natural_image(256, 256, 8)
+
+
+@pytest.fixture()
+def cold_prefix_tables(monkeypatch):
+    """Empty Rice prefix tables for one test; the filled ones return after it."""
+    from tlxs import rice
+
+    monkeypatch.setattr(rice, "PREFIX_ROWS", [rice._UNFILLED] * (rice.MAX_RICE_K + 1))
+    monkeypatch.setattr(rice, "_PAIRS", {})
+    return rice.PREFIX_ROWS

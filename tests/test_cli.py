@@ -3,6 +3,7 @@ import pytest
 from tlxs.cli import main
 from tlxs.container import demux
 from tlxs.pnm import load_pnm, store_pnm
+from tlxs.residual import parse_extension_header
 from tlxs.synthetic import natural_image
 
 
@@ -88,6 +89,34 @@ def test_inspect_echoes_header(pgm, tmp_path, capsys):
     assert "coder: wavelet" in text
     assert "base levels: 5 horizontal / 2 vertical" in text
     assert "HL1" in text
+    with open(out, "rb") as handle:
+        _, ext, _ = demux(handle.read())
+    info = parse_extension_header(ext, 40, 24, 1)
+    assert "extension coder: wavelet, depth 9" in text
+    assert f"extension component 0: {info.components[0].length} bytes" in text
+    # the 3-level extension transform has bands the 5/2-level base lacks
+    hh3 = next(band for band in info.components[0].bands if band.name == "HH3")
+    assert f"HH3   0        5x3     {hh3.k:<2} {hh3.bits}" in text
+
+
+def test_inspect_shows_predictive_extension(tmp_path, capsys):
+    from tlxs.image import PlanarImage
+
+    path = tmp_path / "rgb.ppm"
+    planes = [natural_image(16, 8, 8, seed=s).planes[0] for s in (1, 2, 3)]
+    store_pnm(PlanarImage.from_planes(planes, 8), str(path))
+    out = str(tmp_path / "rgb.tlxs")
+    assert main(["encode", "--input", str(path), "--output", out, "--no-base"]) == 0
+    capsys.readouterr()
+    assert main(["inspect", out]) == 0
+    text = capsys.readouterr().out
+    with open(out, "rb") as handle:
+        _, ext, _ = demux(handle.read())
+    info = parse_extension_header(ext, 16, 8, 3)
+    assert "extension coder: predictive, depth 8" in text
+    for comp, part in enumerate(info.components):
+        assert f"extension component {comp}: {part.length} bytes" in text
+    assert "HH3" not in text
 
 
 def test_inspect_base_only_reports_absent_extension(pgm, tmp_path, capsys):

@@ -47,9 +47,19 @@ def test_bad_magic():
         parse_pnm(b"P2 1 1 255 \x00")
 
 
-def test_malformed_header_token():
-    with pytest.raises(PnmError, match="width"):
-        parse_pnm(b"P5 abc 1 255 \x00")
+@pytest.mark.parametrize(
+    "header, what",
+    [
+        (b"P5 abc 1 255 ", "width"),
+        (b"P5 +16 2 255 ", "width"),
+        (b"P5 1_6 2 255 ", "width"),
+        (b"P5 16 2 0_255 ", "maxval"),
+    ],
+    ids=["abc", "sign", "underscore", "maxval_underscore"],
+)
+def test_malformed_header_token(header, what):
+    with pytest.raises(PnmError, match=f"bad {what} in header"):
+        parse_pnm(header + bytes(32))
 
 
 def test_comments_in_header():

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -25,6 +26,7 @@ from tlxs.residual import (
     encode_predictive,
     encode_wavelet_lossless,
     med_predict,
+    parse_extension_header,
 )
 from tlxs.synthetic import natural_image
 
@@ -81,6 +83,79 @@ def oracle_ks(mapped):
         ks.append(adapter.k())
         adapter.update(m)
     return np.asarray(ks, dtype=np.int64)
+
+
+def decode_predictive_oracle(data, width, height, depth):
+    """The predictive decoder before prefix tables: one code per loop pass."""
+    if width < 1 or height < 1:
+        raise CodecError("empty plane dimensions")
+    count = width * height
+    nbits = 8 * len(data)
+    if count > nbits:  # every code takes at least one bit
+        raise BitstreamError(f"{len(data)} bytes cannot hold {count} samples")
+    win = rice.byte_windows(data)
+    m64 = (1 << 64) - 1
+    max_k = rice.MAX_RICE_K
+    mapped = [0] * count
+    acc = n = pos = 0
+    for i in range(count):
+        k = (acc // (n or 1)).bit_length() - 1
+        if k < 0:
+            k = 0
+        elif k > max_k:
+            k = max_k
+        x = (win[pos >> 3] << (pos & 7)) & m64
+        q = 64 - (x ^ m64).bit_length()
+        m = 0
+        while q + k > 55:  # code may outrun the window's 57 sure bits: skip 32 ones
+            m += 32 << k
+            pos += 32
+            x = (win[pos >> 3] << (pos & 7)) & m64
+            q = 64 - (x ^ m64).bit_length()
+        used = q + 1 + k
+        m += (q << k) | ((x >> (64 - used)) & ((1 << k) - 1))
+        pos += used
+        if pos > nbits:
+            raise BitstreamError("predictive stream truncated")
+        mapped[i] = m
+        acc += m
+        n += 1
+        if n == 64:
+            acc >>= 1
+            n = 32
+
+    if nbits - pos >= 8 or data[-1] & ((1 << (nbits - pos)) - 1):
+        raise BitstreamError("trailing data after predictive stream")
+    errors = rice.zigzag_unmap(np.asarray(mapped, dtype=np.int64)).reshape(
+        height, width
+    )
+    samples = _unpredict(errors, depth)
+    if int(samples.min()) < 0 or int(samples.max()) > (1 << depth) - 1:
+        raise BitstreamError("decoded samples out of range")
+    return samples
+
+
+def assert_decodes_like_oracle(data, width, height, depth):
+    """Both decoders return the same samples, or both raise BitstreamError."""
+    try:
+        expected = decode_predictive_oracle(data, width, height, depth)
+    except BitstreamError:
+        with pytest.raises(BitstreamError):
+            decode_predictive(data, width, height, depth)
+        return None
+    out = decode_predictive(data, width, height, depth)
+    assert np.array_equal(out, expected)
+    return out
+
+
+def stream_of_mapped(mapped):
+    """A 1xN depth-17 plane whose predictive stream codes exactly ``mapped``."""
+    mapped = np.asarray(mapped, dtype=np.int64)
+    plane = (1 << 16) - 1 + np.cumsum(rice.zigzag_unmap(mapped))[None, :]
+    payload = encode_predictive(plane, 17)
+    packed = np.packbits(rice.pack_codes(mapped, oracle_ks(mapped.tolist())))
+    assert payload == packed.tobytes()
+    return plane, payload
 
 
 # sample counts on both sides of the running mean's halvings (after 64, 96, 128)
@@ -346,6 +421,191 @@ class TestPredictiveCoder:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def laplace_plane(shape, scale, depth, seed):
+    """Plane around mid-range whose MED residuals run at about ``2**scale``."""
+    rng = np.random.default_rng(seed)
+    top = (1 << depth) - 1
+    noise = np.rint(rng.laplace(0.0, float(1 << scale), size=shape)).astype(np.int64)
+    return np.clip(top // 2 + noise, 0, top)
+
+
+@st.composite
+def coder_planes(draw):
+    depth = draw(st.integers(2, 17))
+    shape = draw(
+        st.sampled_from(
+            [(1, n) for n in (1, 2, 13, 70, 130)]
+            + [(n, 1) for n in (2, 13, 70, 130)]
+            + [(9, 11), (16, 16)]
+        )
+    )
+    scale = draw(st.integers(0, depth - 1))
+    return laplace_plane(shape, scale, depth, draw(st.integers(0, 2**32 - 1))), depth
+
+
+def _filled_rows():
+    return [k for k, row in enumerate(rice.PREFIX_ROWS) if any(row)]
+
+
+class TestPrefixTableDecoder:
+    """The table-driven decoder against the one-code-per-pass oracle."""
+
+    @given(coder_planes(), st.data())
+    @settings(max_examples=200)
+    def test_matches_oracle_on_streams_and_corruptions(self, case, data):
+        plane, depth = case
+        height, width = plane.shape
+        payload = encode_predictive(plane, depth)
+        assert np.array_equal(assert_decodes_like_oracle(payload, width, height, depth), plane)
+        bit = data.draw(st.integers(0, 8 * len(payload) - 1))
+        flipped = bytearray(payload)
+        flipped[bit >> 3] ^= 0x80 >> (bit & 7)
+        cut = payload[: data.draw(st.integers(0, len(payload) - 1))]
+        appended = payload + bytes([data.draw(st.integers(0, 255))])
+        noise = data.draw(st.binary(min_size=1, max_size=len(payload) + 8))
+        for variant in (bytes(flipped), cut, appended, noise):
+            assert_decodes_like_oracle(variant, width, height, depth)
+
+    @pytest.mark.parametrize("last, codes", [(8, 4), (9, 3)])
+    def test_code_ending_at_prefix_bit_12_or_13(self, last, codes):
+        # three 1-bit zeros, then a code of last + 1 bits ends at bit 12 or 13
+        plane, payload = stream_of_mapped([0, 0, 0, last] + [0] * 20)
+        top = int.from_bytes(payload[:2], "big") >> 4
+        assert len(rice.prefix_codes(0, top)) == codes
+        assert np.array_equal(assert_decodes_like_oracle(payload, plane.shape[1], 1, 17), plane)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_k_rises_after_each_position_of_a_k0_group(self, j):
+        # the stream's first group: j zeros, then a value that lifts the mean to 2
+        mapped = [0] * j + [2 * (j + 1)] + [0] * 20
+        assert oracle_ks(mapped)[j : j + 2].tolist() == [0, 1]
+        assert 3 * j + 3 <= rice.PREFIX_BITS
+        plane, payload = stream_of_mapped(mapped)
+        assert np.array_equal(assert_decodes_like_oracle(payload, plane.shape[1], 1, 17), plane)
+
+    @pytest.mark.parametrize("j", range(6))
+    def test_k_drops_after_each_position_of_a_k1_group(self, j):
+        # a code longer than the prefix ends its group, so the next group
+        # starts after it: six 2-bit zeros at k = 1, the mean falling under 2
+        # after the (j + 1)-th
+        mapped = [0] * 10 + [22 + 2 * j] + [0] * (j + 1) + [0] * 20
+        ks = oracle_ks(mapped)
+        assert ks[10] == 0 and ks[11 : 12 + j].tolist() == [1] * (j + 1)
+        assert ks[12 + j] == 0
+        plane, payload = stream_of_mapped(mapped)
+        assert np.array_equal(assert_decodes_like_oracle(payload, plane.shape[1], 1, 17), plane)
+
+    @pytest.mark.parametrize("zeros", [0, 400])
+    def test_plane_at_k_12_and_above_takes_the_long_path(self, zeros):
+        # errors alternating +8192 / -8193 hold the mean near 2**14; zeros
+        # after them bring k back under the prefix width
+        mapped = [1 << 14, (1 << 14) + 1] * 100 + [0] * zeros
+        ks = oracle_ks(mapped)
+        assert min(ks[1:200]) >= rice.PREFIX_BITS
+        assert zeros == 0 or ks[-1] < rice.PREFIX_BITS
+        plane, payload = stream_of_mapped(mapped)
+        width = plane.shape[1]
+        assert np.array_equal(assert_decodes_like_oracle(payload, width, 1, 17), plane)
+        assert_decodes_like_oracle(payload[:-5], width, 1, 17)
+
+    def test_cold_and_warm_tables_decode_alike(self, cold_prefix_tables):
+        plane = laplace_plane((64, 64), 3, 13, seed=4)
+        payload = encode_predictive(plane, 13)
+        cold = decode_predictive(payload, 64, 64, 13)
+        assert _filled_rows()
+        warm = decode_predictive(payload, 64, 64, 13)
+        assert np.array_equal(cold, plane) and np.array_equal(warm, plane)
+
+    def test_tables_retain_at_most_1_5_mb(self, cold_prefix_tables):
+        # natural planes at depths 8..14 run at k = 1..9 and a flattened one at k = 0
+        cases = [(natural_image(256, 256, 8, seed=8).planes[0] >> 2, 8)]
+        cases += [(natural_image(256, 256, d, seed=d).planes[0], d) for d in range(8, 15)]
+        cases = [(plane, depth, encode_predictive(plane, depth)) for plane, depth in cases]
+        tracemalloc.start()
+        try:
+            for plane, depth, payload in cases:
+                assert np.array_equal(decode_predictive(payload, 256, 256, depth), plane)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert set(_filled_rows()) >= set(range(10))
+        assert retained <= 1.5 * 2**20
+
+
+class TestPredictiveErrorLocation:
+    def test_truncation_inside_a_group(self):
+        # 40 two-bit codes cut to 56 bits: codes 24-29 share a prefix
+        _, payload = stream_of_mapped([1] * 40)
+        with pytest.raises(
+            BitstreamError, match=r"^sample \(0, 28\) at bit 56: predictive stream truncated$"
+        ):
+            decode_predictive(payload[:7], 40, 1, 17)
+
+    @pytest.mark.parametrize("value", [40, 200])
+    def test_truncation_inside_a_long_code(self, value):
+        # the third code, value + 1 bits from bit 2 (200 takes the 32-ones
+        # skips), outruns a 24-bit stream
+        _, payload = stream_of_mapped([0, 0, value])
+        with pytest.raises(
+            BitstreamError, match=r"^sample \(0, 2\) at bit 2: predictive stream truncated$"
+        ):
+            decode_predictive(payload[:3], 3, 1, 17)
+
+    def test_trailing_data(self):
+        _, payload = stream_of_mapped([0] * 8)
+        with pytest.raises(
+            BitstreamError, match="^at bit 8: trailing data after predictive stream$"
+        ):
+            decode_predictive(payload + b"\x00", 8, 1, 17)
+
+    def test_out_of_range_sample(self):
+        # 255 predicts the first sample at depth 9; +300 on it leaves 0..511
+        mapped = np.array([0, 0, 600, 0])
+        payload = np.packbits(rice.pack_codes(mapped, oracle_ks(mapped.tolist())))
+        with pytest.raises(
+            BitstreamError,
+            match=r"^sample \(1, 0\) at bit 2: decoded samples out of range$",
+        ):
+            decode_predictive(payload.tobytes(), 2, 2, 9)
+
+
+def test_rgb_predictive_file_truncated_in_component_1_names_sample_and_bit():
+    from tlxs.base import BaseConfig
+    from tlxs.container import demux, mux
+    from tlxs.pipeline import decode_two_layer, encode_two_layer
+
+    image = PlanarImage.from_planes(
+        [natural_image(32, 32, 8, seed=s).planes[0] for s in (4, 5, 6)], 8
+    )
+    base, ext, meta = demux(encode_two_layer(image, BaseConfig(target_bpp=2.0)))
+    info = parse_extension_header(ext, 32, 32, 3)
+    part = info.components[1]
+    payload = ext[part.offset : part.offset + part.length]
+    cut = len(payload) // 2
+    # component 1's length field precedes its payload
+    truncated = (
+        ext[: part.offset - 4]
+        + cut.to_bytes(4, "big")
+        + payload[:cut]
+        + ext[part.offset + part.length :]
+    )
+    # the first sample whose code ends past the cut, from the full stream
+    rows = decode_predictive(payload, 32, 32, info.depth).tolist()
+    errors = [
+        rows[y][x] - scalar_prediction(rows, y, x, info.depth)
+        for y in range(32)
+        for x in range(32)
+    ]
+    mapped = rice.zigzag_map(np.asarray(errors))
+    ks = oracle_ks(mapped.tolist())
+    ends = np.cumsum((mapped >> ks) + ks + 1)
+    index = int(np.argmax(ends > 8 * cut))
+    bit = int(ends[index - 1])
+    where = f"extension component 1: sample ({index // 32}, {index % 32}) at bit {bit}: "
+    with pytest.raises(BitstreamError, match=rf"^{re.escape(where)}predictive stream truncated$"):
+        decode_two_layer(mux(base, truncated, meta))
 
 
 class TestWaveletCoder:

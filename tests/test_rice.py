@@ -6,15 +6,18 @@ from hypothesis import given
 import hypothesis.strategies as st
 from hypothesis.extra import numpy as hnp
 
+from tlxs import rice
 from tlxs.errors import BitstreamError
 from tlxs.rice import (
     MAX_RICE_K,
+    PREFIX_BITS,
     choose_rice_k,
     decode_band,
     decode_bands,
     encode_band,
     encode_bands,
     pack_codes,
+    prefix_codes,
     rice_bit_cost,
     zigzag_map,
     zigzag_unmap,
@@ -502,3 +505,47 @@ def test_bands_payload_length_must_match(change):
     payload = payload[:-1] if change == "short" else payload + b"\x00"
     with pytest.raises(BitstreamError):
         list(decode_bands(payload, _entries(bands, records)))
+
+
+@pytest.mark.parametrize(
+    "k, prefix, codes",
+    [
+        (0, 0b001111111110, ((0, 1), (0, 2), (9, 12))),  # last code ends at bit 12
+        (0, 0b001111111111, ((0, 1), (0, 2))),  # ... and at bit 13: not held
+        (0, 0b111111111110, ((11, 12),)),
+        (0, 0b111111111111, ()),
+        (2, 0b000110111011, ((0, 3), (11, 8), (7, 12))),
+        (11, 0b000000000001, ((1, 12),)),
+        (12, 0, ()),
+        (MAX_RICE_K, 0, ()),
+    ],
+)
+def test_prefix_codes_examples(k, prefix, codes):
+    assert prefix_codes(k, prefix) == codes
+
+
+@pytest.mark.parametrize("k", range(PREFIX_BITS + 1))
+def test_prefix_codes_are_every_complete_code(k):
+    for prefix in range(1 << PREFIX_BITS):
+        bits = [(prefix >> (PREFIX_BITS - 1 - i)) & 1 for i in range(PREFIX_BITS)]
+        codes = prefix_codes(k, prefix)
+        end = codes[-1][1] if codes else 0
+        packed = pack_codes(np.array([m for m, _ in codes], dtype=np.int64), k)
+        assert packed.tolist() == bits[:end]
+        lengths = [(m >> k) + 1 + k for m, _ in codes]
+        assert [e for _, e in codes] == np.cumsum(lengths, dtype=np.int64).tolist()
+        # no further code fits: no zero before the last k bits of the rest
+        assert all(bits[end : PREFIX_BITS - k])
+
+
+def test_fill_prefix_shares_only_equal_entries(cold_prefix_tables):
+    rows = cold_prefix_tables
+    rng = np.random.default_rng(5)
+    for k in (0, 1, 3, 8, 11, 12, MAX_RICE_K):
+        for prefix in rng.permutation(1 << PREFIX_BITS).tolist():
+            if rows[k][prefix] is None:
+                assert rice.fill_prefix(k, prefix) == prefix_codes(k, prefix)
+        assert rows[k] == [prefix_codes(k, p) for p in range(1 << PREFIX_BITS)]
+    # equal pairs are one object
+    pairs = [pair for k in (0, 1, 3) for entry in rows[k] for pair in entry]
+    assert len({id(pair) for pair in pairs}) == len(set(pairs))
