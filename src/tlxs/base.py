@@ -173,8 +173,8 @@ def _rate_control_on_bands(
             for magnitude, sign, peak in split:
                 if peak >= step:
                     indices = sign * (magnitude // step)
-                    k = rice.choose_rice_k(indices)
-                    total += (rice.rice_bit_cost(indices, k) + 7) // 8
+                    _, bits = rice.choose_rice_k(indices)
+                    total += (bits + 7) // 8
             sizes[step] = 8 * total
         return sizes[step]
 
@@ -306,16 +306,16 @@ def decode_base(payload: bytes) -> PlanarImage:
         for record in info.records[
             comp * bands_per_comp : (comp + 1) * bands_per_comp
         ]:
-            count = record.width * record.height
+            shape = (record.height, record.width)
             if record.bits == 0:
-                # zero-length convention: every index in the band is zero
-                indices = np.zeros(count, dtype=np.int64)
-            else:
-                indices = next(coded)
-            coeffs = dequantize_deadzone(indices, record.step)
-            if count and int(np.abs(coeffs).max()) > limit:
+                # zero-length convention: every index, so every coefficient,
+                # is zero; a read-only view stands in for the band
+                bands.append(np.broadcast_to(np.int64(0), shape))
+                continue
+            coeffs = dequantize_deadzone(next(coded), record.step)
+            if int(np.abs(coeffs).max()) > limit:
                 raise BitstreamError("coefficient out of range")
-            bands.append(coeffs.reshape(record.height, record.width))
+            bands.append(coeffs.reshape(shape))
         plane = dwt.recompose(
             bands, info.width, info.height, info.levels_h, info.levels_v
         )

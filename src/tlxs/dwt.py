@@ -18,6 +18,13 @@ stages split vertically as well. Bands are emitted coarsest first:
 where HL carries horizontal detail, LH vertical detail. A stage splits a
 length ``n`` axis into ``ceil(n/2)`` low and ``floor(n/2)`` high samples, so
 band dimensions tile the image exactly and nothing is padded.
+
+Each pass lifts in place: it writes the detail half straight into a fresh
+output band, then the smooth half, flooring with ``>>`` and reflecting the
+ends by slicing. A pass lifts along axis 0 of a view (``np.moveaxis``), so
+vertical passes update whole rows (``x[0::2]``, ``x[1::2]``), horizontal
+passes work on strided views of the same C-contiguous arrays, and no
+transposed copy is made.
 """
 
 from __future__ import annotations
@@ -29,69 +36,57 @@ from .errors import CodecError
 Band = tuple[str, int, int]
 
 
-def _split_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward lifting along axis 1. Returns (low, high)."""
-    n = a.shape[1]
-    if n == 1:
-        return a.copy(), a[:, :0].copy()
-    even = a[:, 0::2]
-    odd = a[:, 1::2]
-    nh = odd.shape[1]
-    left = even[:, :nh]
-    if n % 2 == 0:
-        # right neighbor of the last odd sample reflects to the last even one
-        right = np.concatenate([even[:, 1:], even[:, -1:]], axis=1)
-    else:
-        right = even[:, 1 : nh + 1]
-    d = odd - (left + right) // 2
-    if n % 2 == 0:
-        cur_d = d
-        prev_d = np.concatenate([d[:, :1], d[:, :-1]], axis=1)
-    else:
-        # one more smooth sample than detail; both neighbors reflect at the end
-        cur_d = np.concatenate([d, d[:, -1:]], axis=1)
-        prev_d = np.concatenate([d[:, :1], d], axis=1)
-    s = even + (prev_d + cur_d + 2) // 4
-    return s, d
-
-
-def _merge_rows(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_split_rows`."""
-    nl = low.shape[1]
-    nh = high.shape[1]
+def _split_axis(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Forward lifting along ``axis``; returns fresh C-contiguous (low, high)."""
+    n = a.shape[axis]
+    nh, m = n // 2, (n - 1) // 2  # m: odd samples with an even one on each side
+    shapes = [a.shape[:axis] + (h,) + a.shape[axis + 1 :] for h in (n - nh, nh)]
+    low, high = (np.empty(shape, dtype=np.int64) for shape in shapes)
+    x, lo, hi = (np.moveaxis(arr, axis, 0) for arr in (a, low, high))
+    even, odd = x[0::2], x[1::2]
     if nh == 0:
-        if nl != 1:
-            raise CodecError("inconsistent band lengths for inverse transform")
-        return low.copy()
-    if nl not in (nh, nh + 1):
+        lo[:] = even
+        return low, high
+    # hi = odd - (left + right) >> 1; at even n the last right reflects to left
+    np.add(even[:m], even[1 : m + 1], out=hi[:m])
+    hi[:m] >>= 1
+    hi[m:] = even[m:nh]
+    np.subtract(odd, hi, out=hi)
+    _smooth_update(hi, lo, n)
+    lo += even
+    return low, high
+
+
+def _merge_axis(low: np.ndarray, high: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse of :func:`_split_axis`; rejects halves of inconsistent length."""
+    nl, nh = low.shape[axis], high.shape[axis]
+    if nl - nh not in (0, 1) or nl == 0:
         raise CodecError("inconsistent band lengths for inverse transform")
-    n = nl + nh
-    if n % 2 == 0:
-        cur_d = high
-        prev_d = np.concatenate([high[:, :1], high[:, :-1]], axis=1)
-    else:
-        cur_d = np.concatenate([high, high[:, -1:]], axis=1)
-        prev_d = np.concatenate([high[:, :1], high], axis=1)
-    even = low - (prev_d + cur_d + 2) // 4
-    left = even[:, :nh]
-    if n % 2 == 0:
-        right = np.concatenate([even[:, 1:], even[:, -1:]], axis=1)
-    else:
-        right = even[:, 1 : nh + 1]
-    odd = high + (left + right) // 2
-    out = np.empty((low.shape[0], n), dtype=np.int64)
-    out[:, 0::2] = even
-    out[:, 1::2] = odd
+    n, m = nl + nh, nl - 1
+    out = np.empty(low.shape[:axis] + (n,) + low.shape[axis + 1 :], dtype=np.int64)
+    lo, hi, x = (np.moveaxis(arr, axis, 0) for arr in (low, high, out))
+    even, odd = x[0::2], x[1::2]
+    if nh == 0:
+        even[:] = lo
+        return out
+    _smooth_update(hi, even, n)
+    np.subtract(lo, even, out=even)
+    np.add(even[:m], even[1 : m + 1], out=odd[:m])
+    odd[:m] >>= 1
+    odd[m:] = even[m:nh]
+    odd += hi
     return out
 
 
-def _split_cols(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    low, high = _split_rows(np.ascontiguousarray(a.T))
-    return low.T, high.T
-
-
-def _merge_cols(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    return _merge_rows(np.ascontiguousarray(low.T), np.ascontiguousarray(high.T)).T
+def _smooth_update(hi: np.ndarray, out: np.ndarray, n: int) -> None:
+    """``out[i] = (hi[i-1] + hi[i] + 2) >> 2`` with both ends reflected."""
+    nh = n // 2
+    np.add(hi[:-1], hi[1:], out=out[1:nh])
+    np.left_shift(hi[:1], 1, out=out[:1])
+    # at odd n the last smooth sample sees the last detail on both sides
+    np.left_shift(hi[nh - 1 : n - nh - 1], 1, out=out[nh:])
+    out += 2
+    out >>= 2
 
 
 def dwt_forward_53(line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,8 +94,7 @@ def dwt_forward_53(line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     arr = np.asarray(line, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
         raise CodecError("transform input must be a non-empty 1-D line")
-    low, high = _split_rows(arr[np.newaxis, :])
-    return low[0], high[0]
+    return _split_axis(arr, 0)
 
 
 def dwt_inverse_53(low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -111,7 +105,7 @@ def dwt_inverse_53(low: np.ndarray, high: np.ndarray) -> np.ndarray:
         raise CodecError("band inputs must be 1-D")
     if lo.size == 0:
         raise CodecError("low band cannot be empty")
-    return _merge_rows(lo[np.newaxis, :], hi[np.newaxis, :])[0]
+    return _merge_axis(lo, hi, 0)
 
 
 def _validate_levels(levels_h: int, levels_v: int) -> None:
@@ -152,19 +146,18 @@ def band_dimensions(
 def decompose(
     plane: np.ndarray, levels_h: int, levels_v: int
 ) -> list[np.ndarray]:
-    """Split a plane into coefficient bands in canonical order."""
+    """Split a plane into C-contiguous coefficient bands in canonical order."""
     _validate_levels(levels_h, levels_v)
     current = np.asarray(plane, dtype=np.int64)
     if current.ndim != 2 or current.size == 0:
         raise CodecError("plane must be a non-empty 2-D array")
     stages: list[list[np.ndarray]] = []
     for stage in range(1, levels_h + 1):
-        low_h, high_h = _split_rows(current)
+        low_h, high_h = _split_axis(current, 1)
         if stage <= levels_v:
-            ll, lh = _split_cols(low_h)
-            hl, hh = _split_cols(high_h)
+            current, lh = _split_axis(low_h, 0)
+            hl, hh = _split_axis(high_h, 0)
             stages.append([hl, lh, hh])
-            current = ll
         else:
             stages.append([high_h])
             current = low_h
@@ -177,35 +170,25 @@ def decompose(
 def recompose(
     bands: list[np.ndarray], width: int, height: int, levels_h: int, levels_v: int
 ) -> np.ndarray:
-    """Exact inverse of :func:`decompose`."""
+    """Exact inverse of :func:`decompose`; bands may be any int64 views."""
     layout = band_dimensions(width, height, levels_h, levels_v)
     if len(bands) != len(layout):
-        raise CodecError(
-            f"expected {len(layout)} bands, got {len(bands)}"
-        )
+        raise CodecError(f"expected {len(layout)} bands, got {len(bands)}")
+    bands = [np.asarray(arr, dtype=np.int64) for arr in bands]
     for arr, (name, bw, bh) in zip(bands, layout):
         if arr.shape != (bh, bw):
-            raise CodecError(
-                f"band {name} has shape {arr.shape}, expected {(bh, bw)}"
-            )
-    current = np.asarray(bands[0], dtype=np.int64)
-    pos = 1
+            raise CodecError(f"band {name} has shape {arr.shape}, expected {(bh, bw)}")
+    current, pos = bands[0], 1
     # Stages are stored deepest first; undo them in that order.
     for stage in range(levels_h, 0, -1):
         if stage <= levels_v:
-            hl, lh, hh = (
-                np.asarray(bands[pos], dtype=np.int64),
-                np.asarray(bands[pos + 1], dtype=np.int64),
-                np.asarray(bands[pos + 2], dtype=np.int64),
-            )
+            hl, lh, hh = bands[pos : pos + 3]
             pos += 3
-            low_h = _merge_cols(current, lh)
-            high_h = _merge_cols(hl, hh)
-            current = _merge_rows(low_h, high_h)
+            low_h = _merge_axis(current, lh, 0)
+            current = _merge_axis(low_h, _merge_axis(hl, hh, 0), 1)
         else:
-            high_h = np.asarray(bands[pos], dtype=np.int64)
+            current = _merge_axis(current, bands[pos], 1)
             pos += 1
-            current = _merge_rows(current, high_h)
     if current.shape != (height, width):
         raise CodecError("recomposed plane does not match requested dimensions")
     return current

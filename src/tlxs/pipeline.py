@@ -191,6 +191,8 @@ def bench_sweep(
     """
     if not grid:
         raise CodecError("bench grid must not be empty")
+    if not coders:
+        raise CodecError("bench coder list must not be empty")
     if not any(t == 0 for t in grid):
         raise CodecError("bench grid must include the no-base point 0")
     if any(t < 0 for t in grid):

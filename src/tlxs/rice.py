@@ -11,8 +11,17 @@ band decoding takes them apart with array passes only. Each code ends at a
 zero bit, so a band at ``k = 0`` ends its codes at its first ``count`` zero
 bits. At ``k > 0`` the code ending at zero bit ``z`` is followed by the one
 ending at the first zero at or after ``z + 1 + k``, at most ``k`` zeros on;
-:func:`decode_band` tabulates that jump with ``k`` shifted comparisons and
-follows it by pointer doubling in ``ceil(log2(count))`` rounds. A per-sample
+:func:`decode_band` tabulates that jump with ``k`` shifted comparisons. A zero
+more than ``k`` bits after the zero before it, a sync zero, always ends a
+code, since no earlier code's remainder reaches it (the self-synchronisation
+parallel variable-length decoders use; Klein & Wiseman, The Computer Journal
+46(5), 2003). So the decoder follows the jump table from zero 0 and every
+sync zero at once, one gather per step, until each walk lands on a zero
+already known to end a code; the zeros it marked are the terminators. A walk
+takes at most as many steps as zeros lie between two sync zeros, and when
+that bound would cost more than pointer doubling from zero 0 in
+``ceil(log2(count))`` rounds, as on bands with few or no sync zeros, the
+decoder doubles instead. Both give the same terminators. A per-sample
 ``k`` decoder reads big-endian 64-bit windows (:func:`byte_windows`) instead.
 The top :data:`PREFIX_BITS` bits of a window index a per-``k`` table
 (:data:`PREFIX_ROWS`) whose entry lists every complete code at that ``k`` the
@@ -38,6 +47,11 @@ from .errors import BitstreamError
 MAX_RICE_K = 24
 PREFIX_BITS = 12
 _PACK_BLOCK = 1 << 15
+# What one step of the sync-zero walk costs, in jump entries read by pointer
+# doubling, charged per step of the walk's bound (real walks take a third or
+# less of it); summed over the benchmark's bands, decode time is flat for
+# values from 256 to 768.
+_WALK_STEP_COST = 512
 
 # PREFIX_ROWS[k][prefix] is prefix_codes(k, prefix), or None until
 # fill_prefix fills it on first use; it is kept for the process, since
@@ -67,8 +81,11 @@ def rice_bit_cost(indices: np.ndarray, k: int) -> int:
     return int(np.sum(mapped >> k)) + mapped.size * (1 + k)
 
 
-def choose_rice_k(indices: np.ndarray) -> int:
-    """Parameter in 0..MAX_RICE_K minimizing coded length, ties to smallest.
+def choose_rice_k(indices: np.ndarray) -> tuple[int, int]:
+    """Parameter in 0..MAX_RICE_K of least coded length, ties to smallest.
+
+    Returns ``(k, bits)``, ``bits`` being that least length: what
+    ``rice_bit_cost(indices, k)`` returns, without a second pass.
 
     The coded length ``f(k) = sum(v >> k) + n * (1 + k)`` is convex in ``k``:
     ``f(k+1) - f(k) = n - sum(ceil((v >> k) / 2))`` never decreases. So a
@@ -80,7 +97,7 @@ def choose_rice_k(indices: np.ndarray) -> int:
     mapped = zigzag_map(indices)
     n = mapped.size
     if n == 0:
-        return 0
+        return 0, 0
     total = int(mapped.sum())
     costs = {0: total + n}
 
@@ -94,7 +111,7 @@ def choose_rice_k(indices: np.ndarray) -> int:
         k -= 1
     while k < MAX_RICE_K and cost(k + 1) < cost(k):
         k += 1
-    return k
+    return k, cost(k)
 
 
 def encode_band(indices: np.ndarray, k: int) -> np.ndarray:
@@ -138,26 +155,44 @@ def decode_band(bits: np.ndarray, count: int, k: int) -> np.ndarray:
             raise BitstreamError("trailing bits after band payload")
         return np.zeros(0, dtype=np.int64)
     zeros = np.flatnonzero(bits == 0)
+    n = zeros.size
+    if n < count:
+        raise BitstreamError("bitstream truncated inside band")
     if k == 0:
-        if zeros.size < count:
-            raise BitstreamError("bitstream truncated inside band")
         terms = zeros[:count]
     else:
         # jump[i]: the zero ending the code after zero i's, i + 1 plus how many
         # of the next k zeros lie within k bits of zero i; n is "past the end".
-        n = zeros.size
         near = np.zeros(n, dtype=np.uint8)
         for d in range(1, min(k, n - 1) + 1):
             near[: n - d] += zeros[d:] - zeros[: n - d] <= k
         jump = np.append(np.arange(1, n + 1) + near, n)
-        # chain[i] is the zero ending code i; the last round squares no jump
-        chain = np.zeros(1, dtype=np.intp)
-        while chain.size < count:
-            chain = np.concatenate((chain, jump[chain[: count - chain.size]]))
+        # unended[j]: zero j is not yet known to end a code. Zero 0 ends the
+        # first code, and so does every sync zero, more than k bits after the
+        # zero before it, since no remainder reaches it. Entry n is the end.
+        unended = np.empty(n + 1, dtype=bool)
+        unended[0] = False
+        np.not_equal(near, 0, out=unended[1:])
+        if _walk_pays(unended, count):
+            # follow every sync zero's codes at once until each walk reaches
+            # a zero already known to end a code; those zeros are the ends
+            walk = np.flatnonzero(~unended[:n])
+            while walk.size:
+                walk = jump[walk]
+                walk = walk[unended[walk]]
+                unended[walk] = False
+            chain = np.flatnonzero(~unended[:n])[:count]
             if chain.size < count:
-                jump = jump[jump]
-        if chain[-1] == n:
-            raise BitstreamError("bitstream truncated inside band")
+                raise BitstreamError("bitstream truncated inside band")
+        else:
+            # chain[i] is the zero ending code i; the last round squares no jump
+            chain = np.zeros(1, dtype=np.intp)
+            while chain.size < count:
+                chain = np.concatenate((chain, jump[chain[: count - chain.size]]))
+                if chain.size < count:
+                    jump = jump[jump]
+            if chain[-1] == n:
+                raise BitstreamError("bitstream truncated inside band")
         terms = zeros[chain]
     consumed = int(terms[-1]) + 1 + k
     if consumed > bits.size:
@@ -175,6 +210,22 @@ def decode_band(bits: np.ndarray, count: int, k: int) -> np.ndarray:
     return zigzag_unmap(mapped)
 
 
+def _walk_pays(unended: np.ndarray, count: int) -> bool:
+    """Whether walking from the sync zeros costs less than pointer doubling.
+
+    A walk reaches the next known end within as many steps as zeros lie
+    between the two, and doubling reads about ``n * count.bit_length()`` jump
+    entries. The ``gaps`` gaps between ends sum to ``n``, so a band with few
+    ends is ruled out before its gaps are measured.
+    """
+    n = unended.size - 1
+    doubling = n * int(count).bit_length()
+    gaps = n - np.count_nonzero(unended)
+    if n * _WALK_STEP_COST > doubling * gaps:
+        return False
+    return int(np.diff(np.flatnonzero(~unended)).max()) * _WALK_STEP_COST <= doubling
+
+
 def encode_bands(bands: Iterable[np.ndarray]) -> tuple[list[tuple[int, int]], bytes]:
     """Code each band at its best ``k``; returns ``(k, bits)`` per band and the section.
 
@@ -184,7 +235,7 @@ def encode_bands(bands: Iterable[np.ndarray]) -> tuple[list[tuple[int, int]], by
     records = []
     chunks = []
     for band in bands:
-        k = choose_rice_k(band)
+        k, _ = choose_rice_k(band)
         bits = encode_band(band, k)
         records.append((k, bits.size))
         chunks.append(np.packbits(bits).tobytes())

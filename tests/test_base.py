@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -293,3 +294,33 @@ def test_band_error_names_its_location():
     where = f"base component 1: band {record.name} at bit {8 * pos}: "
     with pytest.raises(BitstreamError, match=f"^{where}bitstream truncated inside band"):
         decode_base(bytes(payload))
+
+
+def test_decode_base_leaves_empty_bands_unallocated(monkeypatch):
+    payload = encode_base(natural_image(512, 512, 8), BaseConfig(target_bpp=0.5))
+    records = parse_base_header(payload).records
+    assert [r.name for r in records if r.bits == 0] == ["HL1", "LH1", "HH1"]
+    full_band = 8 * 256 * 256  # one int64 level-1 band: 512 KiB
+    coded = sum(8 * r.width * r.height for r in records if r.bits)
+    held = []
+    original = dwt.recompose
+
+    def measuring(bands, *args):
+        # what decode_base holds once every band is ready
+        held.append(tracemalloc.get_traced_memory()[0])
+        for band, record in zip(bands, records):
+            if record.bits == 0:
+                assert band.strides == (0, 0) and not band.flags.writeable
+        return original(bands, *args)
+
+    monkeypatch.setattr(dwt, "recompose", measuring)
+    tracemalloc.start()
+    try:
+        decode_base(payload)
+    finally:
+        tracemalloc.stop()
+    # the coded bands are a quarter of the plane, and the rest (the section
+    # copy, the last band's bits) is far below one more band; each empty
+    # band, had it been materialised, would add a full_band
+    assert coded == full_band
+    assert held[0] < coded + full_band

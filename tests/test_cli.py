@@ -175,6 +175,15 @@ def test_bench_grid_without_zero_exit_1(pgm, tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("coders", [",", " , "])
+def test_bench_without_coders_exit_1(pgm, tmp_path, capsys, coders):
+    csv_path = tmp_path / "x.csv"
+    code = main(["bench", "--input", pgm, "--out", str(csv_path), "--coders", coders])
+    assert "coder list" in capsys.readouterr().err
+    assert code == 1
+    assert not csv_path.exists()
+
+
 def test_commands_do_not_mutate_inputs(pgm, tmp_path, capsys):
     before = open(pgm, "rb").read()
     out = str(tmp_path / "img.tlxs")

@@ -135,6 +135,11 @@ class TestBenchSweep:
         with pytest.raises(CodecError):
             bench_sweep(img, [])
 
+    def test_coder_list_must_not_be_empty(self):
+        img = natural_image(16, 16, 8)
+        with pytest.raises(CodecError, match="coder list"):
+            bench_sweep(img, [0, 1], [])
+
     def test_single_zero_row(self):
         img = natural_image(32, 32, 8)
         rows = bench_sweep(img, [0], [LosslessCoderId.PREDICTIVE])

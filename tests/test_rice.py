@@ -317,6 +317,93 @@ def test_decode_band_edges_match_oracle(values, k):
     assert np.array_equal(decode_band(bits, count, k), zigzag_unmap(np.asarray(values)))
 
 
+def assert_variants_decode_like_oracle(bits, count, k, flips):
+    """The band, the band flipped at each bit in ``flips``, cut by one bit and
+    by ``k + 1`` bits, and extended by a zero and by a one."""
+    assert_decodes_like_oracle(bits, count, k)
+    for pos in flips:
+        flipped = bits.copy()
+        flipped[pos] ^= 1
+        assert_decodes_like_oracle(flipped, count, k)
+    for cut in (1, k + 1):
+        assert_decodes_like_oracle(bits[:-cut], count, k)
+    for extra in (0, 1):
+        assert_decodes_like_oracle(np.append(bits, np.uint8(extra)), count, k)
+
+
+@pytest.fixture()
+def walk_choices(monkeypatch):
+    """Every sync-walk-or-doubling choice ``decode_band`` makes, in order."""
+    choices = []
+    original = rice._walk_pays
+
+    def recording(unended, count):
+        choices.append(original(unended, count))
+        return choices[-1]
+
+    monkeypatch.setattr(rice, "_walk_pays", recording)
+    return choices
+
+
+def _sync_rich(k, count, seed=0):
+    """Mapped values whose remainders are all ones, so each next terminator
+    is a sync zero, more than k bits after the zero before it."""
+    return np.random.default_rng(seed).integers(0, 4 << k, count) | ((1 << k) - 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+@pytest.mark.parametrize(
+    "where", ["first", "last", "both"], ids=["first_bit", "last_bit", "both_ends"]
+)
+def test_sync_zero_at_band_ends_matches_oracle(k, where, walk_choices):
+    # first: a lone terminator on bit 0 with a sync zero right after its
+    # remainder; last: a remainder of ones ends the band, so the zero the
+    # extended variant appends is a sync zero on the band's last bit
+    ones = (1 << k) - 1
+    head = [ones] if where in ("first", "both") else [(2 << k) | 1]
+    tail = [ones] if where in ("last", "both") else [2]
+    mapped = np.concatenate((head, _sync_rich(k, 1000), tail)).astype(np.int64)
+    bits = pack_codes(mapped, k)
+    assert np.array_equal(decode_band(bits, mapped.size, k), zigzag_unmap(mapped))
+    assert walk_choices == [True]
+    flips = [0, 1, k, k + 1, k + 2, bits.size // 2]
+    flips += range(bits.size - k - 2, bits.size)
+    assert_variants_decode_like_oracle(bits, mapped.size, k, flips)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 24])
+def test_sync_free_zero_band_doubles(k, walk_choices):
+    # every zero lies within k bits of the one before, so only zero 0 is known
+    count = 3000
+    bits = np.zeros(count * (1 + k), dtype=np.uint8)
+    assert np.array_equal(decode_band(bits, count, k), np.zeros(count))
+    assert walk_choices == [False]
+    flips = [0, 1, k, k + 1, bits.size // 2, bits.size - 1]
+    assert_variants_decode_like_oracle(bits, count, k, flips)
+    assert not any(walk_choices)
+
+
+def _cluster_band(k, cluster):
+    """Sync-rich codes around ``cluster`` zero codes, which hold no sync zero."""
+    zeros = np.zeros(cluster, dtype=np.int64)
+    mapped = np.concatenate((_sync_rich(k, 3000, 1), zeros, _sync_rich(k, 3000, 2)))
+    return pack_codes(mapped, k), mapped
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+@pytest.mark.parametrize("cluster, walks", [(16, True), (2000, False)])
+def test_long_cluster_band_on_both_sides_of_the_choice(k, cluster, walks, walk_choices):
+    bits, mapped = _cluster_band(k, cluster)
+    assert np.array_equal(decode_band(bits, mapped.size, k), zigzag_unmap(mapped))
+    assert walk_choices == [walks]
+    # flips inside the cluster, at its edges and in the sync-rich codes
+    start = int(np.flatnonzero(mapped == 0)[0])
+    edge = int(np.sum((mapped[:start] >> k) + 1 + k))
+    flips = [0, edge - 1, edge, edge + 1, edge + 3 * (1 + k)]
+    flips += [bits.size // 2, bits.size - 1]
+    assert_variants_decode_like_oracle(bits, mapped.size, k, flips)
+
+
 @pytest.mark.parametrize("k", range(1, 25))
 def test_all_ones_band_rejected(k):
     # no zero bit ends any code, though the size admits 40 codes
@@ -368,19 +455,26 @@ def test_decode_memory_per_input_bit(bits, count, k):
     assert peak <= 48 * bits.size
 
 
+def chosen_k(values):
+    """The ``k`` of ``choose_rice_k``, whose ``bits`` must be ``rice_bit_cost``'s."""
+    k, bits = choose_rice_k(values)
+    assert bits == rice_bit_cost(values, k)
+    return k
+
+
 def test_choose_k_all_zero():
-    assert choose_rice_k(np.zeros(100, dtype=np.int64)) == 0
+    assert chosen_k(np.zeros(100, dtype=np.int64)) == 0
 
 
 def test_choose_k_singleton_zero_tiebreak():
-    assert choose_rice_k(np.array([0])) == 0
+    assert chosen_k(np.array([0])) == 0
 
 
 def test_choose_k_matches_measured_argmin():
     band = np.full(50, 4, dtype=np.int64)  # zigzag value 8
     measured = [encode_band(band, k).size for k in range(25)]
     want = measured.index(min(measured))
-    assert choose_rice_k(band) == want
+    assert chosen_k(band) == want
 
 
 @given(
@@ -395,7 +489,7 @@ def test_roundtrip_property(values, k):
 @given(st.lists(st.integers(-4000, 4000), min_size=1, max_size=200))
 def test_chosen_k_is_globally_minimal(values):
     arr = np.asarray(values, dtype=np.int64)
-    k = choose_rice_k(arr)
+    k = chosen_k(arr)
     costs = [rice_bit_cost(arr, j) for j in range(25)]
     assert costs[k] == min(costs)
     assert all(costs[j] > costs[k] for j in range(k))
@@ -403,7 +497,7 @@ def test_chosen_k_is_globally_minimal(values):
 
 @given(scaled_bands())
 def test_chosen_k_matches_exhaustive_scan(values):
-    assert choose_rice_k(values) == choose_rice_k_oracle(values)
+    assert chosen_k(values) == choose_rice_k_oracle(values)
 
 
 @pytest.mark.parametrize(
@@ -420,7 +514,7 @@ def test_chosen_k_matches_exhaustive_scan(values):
 )
 def test_chosen_k_matches_exhaustive_scan_on_edges(values):
     arr = np.asarray(values, dtype=np.int64)
-    assert choose_rice_k(arr) == choose_rice_k_oracle(arr)
+    assert chosen_k(arr) == choose_rice_k_oracle(arr)
 
 
 @pytest.mark.parametrize(
@@ -430,7 +524,7 @@ def test_chosen_k_matches_exhaustive_scan_on_edges(values):
 def test_chosen_k_ties_go_to_smallest(values):
     arr = np.asarray(values, dtype=np.int64)
     costs = [rice_bit_cost(arr, k) for k in range(25)]
-    k = choose_rice_k(arr)
+    k = chosen_k(arr)
     assert k == choose_rice_k_oracle(arr)
     assert costs[k] == min(costs)
     # each case has a second minimizer above the chosen one
@@ -441,7 +535,7 @@ def test_chosen_k_ties_go_to_smallest(values):
 def test_chosen_k_at_every_start_point(k_mean, n):
     # a flat band of mapped value 2**k_mean starts the search at k_mean
     arr = np.full(n, 2 ** (k_mean - 1), dtype=np.int64)
-    assert choose_rice_k(arr) == choose_rice_k_oracle(arr)
+    assert chosen_k(arr) == choose_rice_k_oracle(arr)
 
 
 def _entries(bands, records):
@@ -460,7 +554,7 @@ def _entries(bands, records):
 def test_bands_roundtrip(bands):
     bands = [np.asarray(band, dtype=np.int64) for band in bands]
     records, payload = encode_bands(bands)
-    assert [k for k, _ in records] == [choose_rice_k(b) for b in bands]
+    assert [k for k, _ in records] == [chosen_k(b) for b in bands]
     assert len(payload) == sum((bits + 7) // 8 for _, bits in records)
     out = list(decode_bands(payload, _entries(bands, records)))
     assert len(out) == len(bands)
