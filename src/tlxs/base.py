@@ -4,8 +4,8 @@ The profile is deliberately simple: a horizontal-dominant 5/3 decomposition
 (vertical splitting capped at two levels so only a few lines of context are
 ever needed), a dead-zone scalar quantizer with midpoint reconstruction, and
 per-band Golomb-Rice coding at the parameter of least coded length (found by a
-local search on that convex length). A bisection rate controller drives a
-single global quantizer scale to a target bit rate.
+local search on that convex length). Rate control bisects the integer
+quantizer step that all bands share to meet a target bit rate.
 With every step at 1 the whole path is lossless because the transform is
 reversible.
 
@@ -26,7 +26,6 @@ pure function of ``(image, config)``.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,9 +40,7 @@ MAGIC = b"XSB1"
 _FIXED = struct.Struct(">4sIIBBB")
 _RECORD = struct.Struct(">HBI")
 
-MAX_SCALE = 65536.0
 MAX_STEP = 65535
-MAX_PROBES = 20
 RATE_TOLERANCE = 0.02
 """Rate control accepts a stream up to this fraction above the target."""
 
@@ -126,10 +123,6 @@ def dequantize_deadzone(index, step: int):
     return np.sign(i) * (np.abs(i) * step + step // 2)
 
 
-def _step_for_scale(scale: float) -> int:
-    return max(1, min(MAX_STEP, math.floor(scale + 0.5)))
-
-
 def _decompose_image(image: PlanarImage, config: BaseConfig) -> list[list[np.ndarray]]:
     return [
         dwt.decompose(plane, config.levels_h, config.levels_v)
@@ -138,7 +131,11 @@ def _decompose_image(image: PlanarImage, config: BaseConfig) -> list[list[np.nda
 
 
 def rate_control(image: PlanarImage, config: BaseConfig) -> tuple[tuple[int, ...], bool]:
-    """Per-band quantizer steps meeting the target rate, plus an overshoot flag."""
+    """Per-band quantizer steps meeting the target rate, plus an overshoot flag.
+
+    Bisects the integer step that all bands share for the least one whose
+    stream fits; the flag is set when even ``MAX_STEP`` does not.
+    """
     if config.target_bpp is None:
         raise CodecError("rate control needs a positive bit rate target")
     comp_bands = _decompose_image(image, config)
@@ -159,39 +156,36 @@ def _rate_control_on_bands(
             sign = np.sign(band).astype(np.int8)
             split.append((magnitude, sign, int(magnitude.max(initial=0))))
     header_bytes = _FIXED.size + _RECORD.size * len(split)
-    # Probe sizes by integer step: every band shares one step, and the
-    # bisection's late probes often round to a step already scored.
-    sizes: dict[int, int] = {}
-
-    def steps_for(scale: float) -> tuple[int, ...]:
-        return (_step_for_scale(scale),) * n_bands
-
-    def size_bits(scale: float) -> int:
-        step = _step_for_scale(scale)
-        if step not in sizes:
-            total = header_bytes
-            for magnitude, sign, peak in split:
-                if peak >= step:
-                    indices = sign * (magnitude // step)
-                    _, bits = rice.choose_rice_k(indices)
-                    total += (bits + 7) // 8
-            sizes[step] = 8 * total
-        return sizes[step]
-
     budget = config.target_bpp * (1.0 + RATE_TOLERANCE) * image.pixel_count
-    lo, hi = 1.0, MAX_SCALE
-    if size_bits(lo) <= budget:
-        return steps_for(lo), False
-    if size_bits(hi) > budget:
-        return steps_for(hi), True
-    # Invariant: size(lo) > budget >= size(hi). Two probes used above.
-    for _ in range(MAX_PROBES - 2):
-        mid = (lo + hi) / 2.0
-        if size_bits(mid) <= budget:
+
+    def fits(step: int) -> bool:
+        return 8 * (header_bytes + _section_bytes(split, step)) <= budget
+
+    # The size never grows with the step: indices only shrink toward zero and
+    # the least Rice length never grows as they do. So the steps that fit form
+    # an upper interval, and bisection finds its least member.
+    if fits(1):
+        return (1,) * n_bands, False
+    if not fits(MAX_STEP):
+        return (MAX_STEP,) * n_bands, True
+    lo, hi = 1, MAX_STEP  # Invariant: lo does not fit, hi does.
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
             hi = mid
         else:
             lo = mid
-    return steps_for(hi), False
+    return (hi,) * n_bands, False
+
+
+def _section_bytes(split: list[tuple[np.ndarray, np.ndarray, int]], step: int) -> int:
+    """Band-section size with every ``(|c|, sign, peak)`` band quantized at ``step``."""
+    total = 0
+    for magnitude, sign, peak in split:
+        if peak >= step:
+            _, bits = rice.choose_rice_k(sign * (magnitude // step))
+            total += (bits + 7) // 8
+    return total
 
 
 def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeResult:

@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--input", required=True, help="input PGM/PPM image")
     enc.add_argument("--output", required=True, help="output layered file")
     rate = enc.add_mutually_exclusive_group()
-    rate.add_argument("--bpp", type=float, default=None, help="base layer target bpp (default 2.0)")
+    rate.add_argument("--bpp", type=float, default=2.0, help="base layer target bpp (default 2.0)")
     rate.add_argument("--no-base", action="store_true", help="skip the base layer entirely")
     rate.add_argument(
         "--lossless-base", action="store_true", help="unquantized (step 1) base layer"
@@ -77,18 +77,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_encode(args: argparse.Namespace) -> int:
     image = load_pnm(args.input)
-    if args.no_base:
-        config = None
-    elif args.lossless_base:
-        config = BaseConfig(
-            levels_h=args.levels_h, levels_v=args.levels_v, target_bpp=LOSSLESS_BASE
-        )
-    else:
-        config = BaseConfig(
-            levels_h=args.levels_h,
-            levels_v=args.levels_v,
-            target_bpp=args.bpp if args.bpp is not None else 2.0,
-        )
+    config = None if args.no_base else BaseConfig(
+        levels_h=args.levels_h,
+        levels_v=args.levels_v,
+        target_bpp=LOSSLESS_BASE if args.lossless_base else args.bpp,
+    )
     details = encode_two_layer_detailed(image, config, _CODER_BY_NAME[args.coder])
     with open(args.output, "wb") as handle:
         handle.write(details.file_bytes)

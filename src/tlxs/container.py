@@ -10,7 +10,8 @@ The CRC-32 covers the whole header with the checksum field zeroed, so any
 flipped header byte is detected. Payloads are not checksummed; corruption
 there surfaces as decode errors. Either layer may be empty: a base-only file
 is a plain lossy stream, a base-less file is a pure losslessly coded image.
-``coder_id`` is 0 when no extension is present.
+``coder_id`` is nonzero exactly when an extension is present; both
+:func:`mux` and :func:`demux` enforce this.
 """
 
 from __future__ import annotations
@@ -80,14 +81,19 @@ def _pack_header(meta: ContainerMeta, base_len: int, ext_len: int) -> bytes:
     return bytes(header)
 
 
+def _check_coder(coder_id: int, ext_len: int) -> None:
+    """A coder id is set exactly when an extension payload is present."""
+    if not ext_len and coder_id != CODER_NONE:
+        raise ContainerError("coder id set but no extension payload present")
+    if ext_len and coder_id == CODER_NONE:
+        raise ContainerError("extension payload present but no coder id set")
+
+
 def mux(base: bytes, ext: bytes, meta: ContainerMeta) -> bytes:
     """Assemble a container; ``demux(mux(b, e, m)) == (b, e, m)`` byte-exactly."""
     if len(base) > 0xFFFFFFFF or len(ext) > 0xFFFFFFFF:
         raise ContainerError("payload too large for a u32 length field")
-    if not ext and meta.coder_id != CODER_NONE:
-        raise ContainerError("coder id set but no extension payload present")
-    if ext and meta.coder_id == CODER_NONE:
-        raise ContainerError("extension payload present but no coder id set")
+    _check_coder(meta.coder_id, len(ext))
     return _pack_header(meta, len(base), len(ext)) + base + ext
 
 
@@ -123,6 +129,7 @@ def demux(data: bytes) -> tuple[bytes, bytes, ContainerMeta]:
             f"header declares {HEADER_SIZE + base_len + ext_len} bytes, "
             f"file has {len(data)}"
         )
+    _check_coder(coder_id, ext_len)
     meta = ContainerMeta(
         width=width,
         height=height,

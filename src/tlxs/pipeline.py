@@ -120,34 +120,22 @@ def decode_two_layer(data: bytes) -> DecodeResult:
     )
     if int(coder) != meta.coder_id:
         raise ContainerError("extension coder disagrees with container header")
-
-    if base_image is None:
-        if depth != meta.bit_depth:
-            raise ContainerError(
-                f"base-less extension depth {depth} does not match "
-                f"image depth {meta.bit_depth}"
-            )
-        image = PlanarImage.from_planes(planes, meta.bit_depth)
-        return DecodeResult(
-            image=image, lossless=True, has_base=False, has_extension=True
-        )
-
-    if depth != meta.bit_depth + 1:
+    # A base adds one bit to the residual, which the extension holds DC-shifted.
+    expected = meta.bit_depth + (base_image is not None)
+    if depth != expected:
         raise ContainerError(
-            f"extension depth {depth} does not match residual depth "
-            f"{meta.bit_depth + 1}"
+            f"extension depth {depth} does not match expected depth {expected}"
         )
-    offset = (1 << meta.bit_depth) - 1
-    out_planes = []
-    for shifted, base_plane in zip(planes, base_image.planes):
-        restored = base_plane + (shifted - offset)
-        if restored.size and (
-            int(restored.min()) < 0 or int(restored.max()) > offset
-        ):
-            raise CodecError("reconstructed samples out of range")
-        out_planes.append(restored)
-    image = PlanarImage.from_planes(out_planes, meta.bit_depth)
-    return DecodeResult(image=image, lossless=True, has_base=True, has_extension=True)
+    if base_image is not None:
+        offset = (1 << meta.bit_depth) - 1
+        planes = [b + (s - offset) for s, b in zip(planes, base_image.planes)]
+    image = PlanarImage.from_planes(planes, meta.bit_depth)
+    return DecodeResult(
+        image=image,
+        lossless=True,
+        has_base=base_image is not None,
+        has_extension=True,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
+import struct
+import zlib
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis.extra import numpy as hnp
 
+from tlxs.container import HEADER_SIZE
 from tlxs.image import PlanarImage
 
 settings.register_profile(
@@ -31,6 +35,15 @@ def images(draw, max_dim=24, depths=(8, 10, 12, 16), color=True):
         draw(plane_arrays(width, height, 0, maxv)) for _ in range(components)
     ]
     return PlanarImage.from_planes(planes, depth)
+
+
+def reseal(blob, pos, value):
+    """Container ``blob`` with header byte ``pos`` set to ``value`` and a valid CRC."""
+    header = bytearray(blob[:HEADER_SIZE])
+    header[pos] = value
+    header[24:28] = bytes(4)  # the CRC covers the header with its field zeroed
+    header[24:28] = struct.pack(">I", zlib.crc32(header))
+    return bytes(header) + blob[HEADER_SIZE:]
 
 
 @pytest.fixture(scope="session")

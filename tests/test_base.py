@@ -5,8 +5,9 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 
-from tlxs import dwt, rice
+from tlxs import base, dwt, rice
 from tlxs.base import (
     LOSSLESS_BASE,
     RATE_TOLERANCE,
@@ -127,33 +128,60 @@ def test_rate_control_matches_oracle_on_natural_images(components, depth, target
 
 def test_rate_control_scores_each_integer_step_once(monkeypatch):
     img = natural_image(64, 64, 8)
-    config = BaseConfig(target_bpp=2.0)
-    comp_bands = [dwt.decompose(p, config.levels_h, config.levels_v) for p in img.planes]
-    _, _, probed = rate_control_oracle(img, config)
-    nonzero = {
-        step: sum(
-            bool(quantize_deadzone(band, step).any())
-            for bands in comp_bands
-            for band in bands
-        )
-        for step in set(probed)
-    }
-    # the bisection revisits a step that has bands to score, so scoring it
-    # twice would show up as extra k searches
-    assert any(probed.count(step) > 1 and nonzero[step] for step in nonzero)
-
+    probed = []
     calls = 0
-    original = rice.choose_rice_k
+    section_bytes = base._section_bytes
+    choose_rice_k = rice.choose_rice_k
+
+    def recording(split, step):
+        probed.append(step)
+        return section_bytes(split, step)
 
     def counting(indices):
         nonlocal calls
         calls += 1
-        return original(indices)
+        return choose_rice_k(indices)
 
+    monkeypatch.setattr(base, "_section_bytes", recording)
     monkeypatch.setattr(rice, "choose_rice_k", counting)
-    rate_control(img, config)
-    # one k search per nonzero band per distinct step, none for zero bands
-    assert calls == sum(nonzero.values())
+    for target in (2.0, 0.25):  # steps 7 and 73
+        config = BaseConfig(target_bpp=target)
+        comp_bands = [
+            dwt.decompose(p, config.levels_h, config.levels_v) for p in img.planes
+        ]
+        probed.clear()
+        calls = 0
+        steps, _ = rate_control(img, config)
+        # steps 1 and MAX_STEP, then one probe per halving of [1, 65535]: each
+        # probe narrows the interval, so no step comes back
+        assert len(set(probed)) == len(probed) <= 18
+        assert steps[0] in probed
+        # one k search per nonzero band per probe, none for zero bands
+        assert calls == sum(
+            bool(quantize_deadzone(band, step).any())
+            for step in probed
+            for bands in comp_bands
+            for band in bands
+        )
+
+
+@given(
+    hnp.arrays(np.int64, st.integers(1, 64), elements=st.integers(-(2**20), 2**20)),
+    st.integers(1, 2**16),
+    st.integers(1, 2**16),
+)
+def test_coded_length_never_grows_with_the_step(band, s1, s2):
+    # the monotonicity that lets rate control bisect the step
+    s1, s2 = sorted((s1, s2))
+    fine, coarse = quantize_deadzone(band, s1), quantize_deadzone(band, s2)
+    assert rice.choose_rice_k(coarse)[1] <= rice.choose_rice_k(fine)[1]
+    if int(np.abs(band).max()) < s2:
+        assert not coarse.any()
+
+
+def test_rate_control_rejects_lossless_base():
+    with pytest.raises(CodecError):
+        rate_control(natural_image(16, 16, 8), BaseConfig(target_bpp=LOSSLESS_BASE))
 
 
 def test_config_validation():
@@ -324,3 +352,27 @@ def test_decode_base_leaves_empty_bands_unallocated(monkeypatch):
     # band, had it been materialised, would add a full_band
     assert coded == full_band
     assert held[0] < coded + full_band
+
+
+def _small_payload():
+    return encode_base(natural_image(32, 16, 8), BaseConfig(target_bpp=2.0))
+
+
+def test_zero_width_rejected():
+    payload = bytearray(_small_payload())
+    payload[4:8] = bytes(4)  # width u32 after the magic
+    with pytest.raises(BitstreamError):
+        parse_base_header(bytes(payload))
+
+
+def test_payload_cut_inside_band_records_rejected():
+    payload = _small_payload()
+    with pytest.raises(BitstreamError):
+        parse_base_header(payload[: base._FIXED.size + base._RECORD.size // 2])
+
+
+def test_band_declaring_step_0_rejected():
+    payload = bytearray(_small_payload())
+    payload[base._FIXED.size : base._FIXED.size + 2] = bytes(2)  # first record's step
+    with pytest.raises(BitstreamError):
+        decode_base(bytes(payload))

@@ -6,6 +6,8 @@ from tlxs.pnm import load_pnm, store_pnm
 from tlxs.residual import parse_extension_header
 from tlxs.synthetic import natural_image
 
+from conftest import reseal
+
 
 @pytest.fixture()
 def pgm(tmp_path):
@@ -33,11 +35,21 @@ def test_no_base_flag_writes_empty_base(pgm, tmp_path):
     assert base == b"" and len(ext) > 0
 
 
-def test_conflicting_rate_flags_exit_2(pgm, tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--no-base", "--lossless-base"])
+def test_conflicting_rate_flags_exit_2(pgm, tmp_path, capsys, flag):
+    # --bpp at its default value still conflicts
     out = str(tmp_path / "img.tlxs")
-    code = main(["encode", "--input", pgm, "--output", out, "--bpp", "2", "--no-base"])
+    code = main(["encode", "--input", pgm, "--output", out, "--bpp", "2.0", flag])
     capsys.readouterr()
     assert code == 2
+
+
+def test_overshoot_warning_goes_to_stderr(pgm, tmp_path, capsys):
+    out = str(tmp_path / "img.tlxs")
+    assert main(["encode", "--input", pgm, "--output", out, "--bpp", "0.001"]) == 0
+    captured = capsys.readouterr()
+    assert "warning:" in captured.err
+    assert "warning:" not in captured.out
 
 
 def test_unknown_flag_exit_2(capsys):
@@ -138,6 +150,17 @@ def test_inspect_bad_magic_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_inspect_unknown_coder_id(pgm, tmp_path, capsys):
+    out = tmp_path / "img.tlxs"
+    main(["encode", "--input", pgm, "--output", str(out)])
+    out.write_bytes(reseal(out.read_bytes(), 7, 7))  # byte 7: coder id
+    capsys.readouterr()
+    assert main(["inspect", str(out)]) == 0
+    assert "coder: unknown (7)" in capsys.readouterr().out
+    assert main(["decode", "--input", str(out), "--output", str(tmp_path / "r.pgm")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bench_writes_expected_rows(pgm, tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     assert (
@@ -173,6 +196,17 @@ def test_bench_grid_without_zero_exit_1(pgm, tmp_path, capsys):
     code = main(["bench", "--input", pgm, "--out", str(tmp_path / "x.csv"), "--grid", "1,2"])
     capsys.readouterr()
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "option", [["--grid", "0,abc"], ["--coders", "foo"]], ids=["grid", "coders"]
+)
+def test_bench_bad_option_value_exit_1(pgm, tmp_path, capsys, option):
+    csv_path = tmp_path / "x.csv"
+    code = main(["bench", "--input", pgm, "--out", str(csv_path), *option])
+    assert "error:" in capsys.readouterr().err
+    assert code == 1
+    assert not csv_path.exists()
 
 
 @pytest.mark.parametrize("coders", [",", " , "])

@@ -4,6 +4,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from tlxs.base import LOSSLESS_BASE, BaseConfig, encode_base
+from tlxs.cli import main
 from tlxs.container import (
     CODER_NONE,
     HEADER_SIZE,
@@ -19,8 +20,10 @@ from tlxs.errors import (
     LengthMismatchError,
     MissingLayerError,
 )
-from tlxs.pipeline import encode_two_layer_detailed
+from tlxs.pipeline import decode_two_layer, encode_two_layer_detailed
 from tlxs.synthetic import natural_image
+
+from conftest import reseal
 
 
 def _meta(coder_id=1):
@@ -135,3 +138,38 @@ def test_dims_mismatch_between_headers_rejected():
     blob = mux(payload, b"", wrong)
     with pytest.raises(ContainerError):
         decode_base_only(blob)
+
+
+def test_unsupported_version_with_valid_crc_rejected():
+    blob = reseal(mux(b"base", b"ext", _meta()), 4, 2)
+    with pytest.raises(ContainerError):
+        demux(blob)
+
+
+def _base_only_with_coder_1():
+    img = natural_image(16, 16, 8)
+    payload = encode_base(img, BaseConfig(target_bpp=2.0))
+    return reseal(mux(payload, b"", ContainerMeta(16, 16, 1, 8, CODER_NONE)), 7, 1)
+
+
+def _extension_with_coder_0():
+    img = natural_image(16, 16, 8)
+    details = encode_two_layer_detailed(img, BaseConfig(target_bpp=2.0))
+    return reseal(details.file_bytes, 7, CODER_NONE)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_base_only_with_coder_1, _extension_with_coder_0],
+    ids=["coder_1_no_ext", "coder_0_ext"],
+)
+def test_demux_refuses_what_mux_refuses(make, tmp_path, capsys):
+    # a coder id is set exactly when an extension is present
+    blob = make()
+    for read in (demux, decode_two_layer, decode_base_only):
+        with pytest.raises(ContainerError):
+            read(blob)
+    path = tmp_path / "bad.tlxs"
+    path.write_bytes(blob)
+    assert main(["inspect", str(path)]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -101,6 +102,48 @@ def test_dims_mismatch_is_error():
         decode_two_layer(blob)
 
 
+def _layers(config, coder=LosslessCoderId.PREDICTIVE):
+    img = natural_image(16, 16, 8)
+    details = encode_two_layer_detailed(img, config, coder)
+    return details.base_bytes, details.ext_bytes
+
+
+def test_extension_coder_must_match_container():
+    from tlxs.container import ContainerMeta, mux
+
+    base, ext = _layers(BaseConfig(target_bpp=2.0), LosslessCoderId.WAVELET)
+    meta = ContainerMeta(16, 16, 1, 8, int(LosslessCoderId.PREDICTIVE))
+    with pytest.raises(ContainerError):
+        decode_two_layer(mux(base, ext, meta))
+
+
+@pytest.mark.parametrize("with_base", [True, False], ids=["base", "no_base"])
+def test_extension_depth_must_match_layers(with_base):
+    # an 8-bit extension under a base, or a 9-bit residual extension without
+    # one: each extension decodes, only its depth is wrong
+    from tlxs.container import ContainerMeta, mux
+
+    base, _ = _layers(BaseConfig(target_bpp=2.0))
+    _, native = _layers(None)
+    _, residual = _layers(BaseConfig(target_bpp=2.0))
+    meta = ContainerMeta(16, 16, 1, 8, int(LosslessCoderId.PREDICTIVE))
+    blob = mux(base, native, meta) if with_base else mux(b"", residual, meta)
+    with pytest.raises(ContainerError):
+        decode_two_layer(blob)
+
+
+def test_restored_samples_out_of_range_rejected():
+    # the largest shifted residual on top of a nonzero base passes 255
+    from tlxs.container import ContainerMeta, mux
+    from tlxs.residual import encode_extension
+
+    base, _ = _layers(BaseConfig(target_bpp=LOSSLESS_BASE))
+    ext = encode_extension([np.full((16, 16), 510)], 9, LosslessCoderId.PREDICTIVE)
+    meta = ContainerMeta(16, 16, 1, 8, int(LosslessCoderId.PREDICTIVE))
+    with pytest.raises(CodecError):
+        decode_two_layer(mux(base, ext, meta))
+
+
 def test_empty_container_is_error():
     from tlxs.container import CODER_NONE, ContainerMeta, mux
 
@@ -134,6 +177,11 @@ class TestBenchSweep:
             bench_sweep(img, [1.0])
         with pytest.raises(CodecError):
             bench_sweep(img, [])
+
+    def test_grid_must_not_be_negative(self):
+        img = natural_image(16, 16, 8)
+        with pytest.raises(CodecError):
+            bench_sweep(img, [0, -1.0])
 
     def test_coder_list_must_not_be_empty(self):
         img = natural_image(16, 16, 8)

@@ -40,6 +40,35 @@ def test_maxval_out_of_depth_range(maxval):
 def test_truncated_raster():
     with pytest.raises(PnmError, match="truncated"):
         parse_pnm(b"P5 2 2 255 " + bytes([1, 2, 3]))
+    with pytest.raises(PnmError, match="truncated"):
+        parse_pnm(b"P5 2 1 65535 " + bytes(3))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P5 # comment without a newline",
+        b"P5 2",
+        b"P5 0 1 255 ",
+        b"P5 2 1 255#\n" + bytes(2),
+        b"P5 2 1 255",
+    ],
+    ids=[
+        "unterminated_comment",
+        "header_ends_early",
+        "zero_width",
+        "hash_ends_maxval",
+        "no_whitespace_after_maxval",
+    ],
+)
+def test_malformed_header(data):
+    with pytest.raises(PnmError):
+        parse_pnm(data)
+
+
+def test_hash_ends_a_token():
+    img = parse_pnm(b"P5 2# width\n1 255 " + bytes([9, 8]))
+    assert img.planes[0].tolist() == [[9, 8]]
 
 
 def test_bad_magic():

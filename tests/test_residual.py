@@ -683,6 +683,29 @@ class TestExtensionPayload:
         with pytest.raises(BitstreamError):
             decode_extension(payload, 2, 2, 3)
 
+    def test_shorter_than_its_header_rejected(self):
+        payload = encode_extension(
+            [np.zeros((2, 2), dtype=np.int64)], 9, LosslessCoderId.PREDICTIVE
+        )
+        with pytest.raises(BitstreamError):
+            decode_extension(payload[:5], 2, 2, 1)
+
+    def test_wavelet_band_records_cut_short_rejected(self):
+        # a 5-byte component holds one of its ten band records
+        payload = encode_extension(
+            [np.zeros((2, 2), dtype=np.int64)], 9, LosslessCoderId.WAVELET
+        )
+        cut = payload[:6] + (5).to_bytes(4, "big") + payload[10:15]
+        with pytest.raises(BitstreamError):
+            decode_extension(cut, 2, 2, 1)
+
+    def test_wavelet_coefficient_past_the_limit_rejected(self):
+        # a 16-bit constant plane's L band holds 65535, past the 1 << 15 an
+        # 8-bit plane's coefficients can reach
+        payload = encode_wavelet_lossless(np.full((8, 8), 65535, dtype=np.int64), 16)
+        with pytest.raises(BitstreamError):
+            decode_wavelet_lossless(payload, 8, 8, 8)
+
 
 @pytest.mark.parametrize("coder", list(LosslessCoderId), ids=lambda c: c.name.lower())
 def test_extension_byte_flips_never_crash(coder):
