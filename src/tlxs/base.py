@@ -22,6 +22,11 @@ quantized index in that band is zero and the band is absent from the band
 section; without this, coarse streams could never drop below one bit per
 coefficient and sub-bpp rate targets would be unreachable. The payload is a
 pure function of ``(image, config)``.
+
+Coefficients and quantizer indices are ``int32`` (see :mod:`tlxs.dwt` for
+the bounds). The decoder checks each band's indices against its coefficient
+limit before it dequantizes them, so ``|i| * step`` is never formed for an
+index that could wrap.
 """
 
 from __future__ import annotations
@@ -34,13 +39,14 @@ import numpy as np
 
 from . import dwt, rice
 from .errors import BitstreamError, CodecError
-from .image import PlanarImage
+from .image import PlanarImage, as_int32
 
 MAGIC = b"XSB1"
 _FIXED = struct.Struct(">4sIIBBB")
 _RECORD = struct.Struct(">HBI")
 
 MAX_STEP = 65535
+_INT32_MAX = int(np.iinfo(np.int32).max)
 RATE_TOLERANCE = 0.02
 """Rate control accepts a stream up to this fraction above the target."""
 
@@ -107,20 +113,36 @@ class BaseEncodeResult:
     overshoot: bool
 
 
+def _check_step(step: int) -> None:
+    if not 1 <= step <= _INT32_MAX:
+        raise CodecError(f"quantizer step must be in 1..{_INT32_MAX}, got {step}")
+
+
 def quantize_deadzone(coeff, step: int):
     """``sign(c) * floor(|c| / step)``; step 1 is the identity."""
-    if step < 1:
-        raise CodecError(f"quantizer step must be >= 1, got {step}")
-    c = np.asarray(coeff, dtype=np.int64)
+    _check_step(step)
+    c = as_int32(coeff, -_INT32_MAX, _INT32_MAX)
     return np.sign(c) * (np.abs(c) // step)
 
 
 def dequantize_deadzone(index, step: int):
-    """Midpoint reconstruction: 0 maps to 0, else ``sign * (|i|*step + step//2)``."""
-    if step < 1:
-        raise CodecError(f"quantizer step must be >= 1, got {step}")
-    i = np.asarray(index, dtype=np.int64)
-    return np.sign(i) * (np.abs(i) * step + step // 2)
+    """Midpoint reconstruction: 0 maps to 0, else ``sign * (|i|*step + step//2)``.
+
+    Raises :class:`CodecError` for an index whose reconstruction does not fit
+    in int32.
+    """
+    _check_step(step)
+    bound = (_INT32_MAX - step // 2) // step
+    return _dequantize(as_int32(index, -bound, bound), step)
+
+
+def _dequantize(index: np.ndarray, step: int) -> np.ndarray:
+    """:func:`dequantize_deadzone` of int32 indices already checked to fit."""
+    out = np.abs(index)
+    out *= step
+    out += step // 2
+    out *= np.sign(index)
+    return out
 
 
 def _decompose_image(image: PlanarImage, config: BaseConfig) -> list[list[np.ndarray]]:
@@ -304,11 +326,16 @@ def decode_base(payload: bytes) -> PlanarImage:
             if record.bits == 0:
                 # zero-length convention: every index, so every coefficient,
                 # is zero; a read-only view stands in for the band
-                bands.append(np.broadcast_to(np.int64(0), shape))
+                bands.append(np.broadcast_to(np.int32(0), shape))
                 continue
-            coeffs = dequantize_deadzone(next(coded), record.step)
-            if int(np.abs(coeffs).max()) > limit:
-                raise BitstreamError("coefficient out of range")
+            # |i| * step + step // 2 <= limit, checked before it is formed
+            indices = next(coded)
+            bound = (limit - record.step // 2) // record.step
+            if int(indices.max()) > bound or int(indices.min()) < -bound:
+                raise BitstreamError(
+                    f"base component {comp}: band {record.name}: coefficient out of range"
+                )
+            coeffs = _dequantize(indices.astype(np.int32), record.step)
             bands.append(coeffs.reshape(shape))
         plane = dwt.recompose(
             bands, info.width, info.height, info.levels_h, info.levels_v

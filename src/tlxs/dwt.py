@@ -25,6 +25,30 @@ ends by slicing. A pass lifts along axis 0 of a view (``np.moveaxis``), so
 vertical passes update whole rows (``x[0::2]``, ``x[1::2]``), horizontal
 passes work on strided views of the same C-contiguous arrays, and no
 transposed copy is made.
+
+Every lifting buffer and band is ``int32``. What keeps the values in range
+is the weight one output takes over its inputs, the sum of their absolute
+weights, measured over line lengths 1..300:
+
+* Analysis weighs at most 2.85 per axis, so at most 8.2 in 2-D at any
+  levels. :func:`decompose` rejects samples beyond ``MAX_MAGNITUDE``
+  (2**24), so bands stay below 2**28 and the sums inside a lifting step below
+  2**29. The format's samples are at most 17 bits wide, and their bands stay
+  below 2**21.
+* Synthesis weighs at most 1 per band along each axis, so a sample takes at
+  most one unit of weight per band: at most 11 at the base layer's 6/2
+  levels and 10 at the wavelet extension's 3/3. The base decoder bounds
+  coefficients by ``2**(N + levels_h + levels_v + 1) + MAX_STEP`` (at most
+  ``2**25 + 65535``) and the extension decoder by ``2**(N + 7)`` (at most
+  2**24) before synthesis. So any band set within those limits, hostile or
+  not, reconstructs below ``11 * (2**25 + 65535)``, about 2**28.5, and the
+  widest sum inside a lifting step (two outputs) stays below 2**30. A valid
+  base stream reconstructs the source plus a quantization error below
+  ``MAX_STEP`` per band: below 2**20.
+* :func:`recompose` itself takes any band that fits in int32. Bands beyond
+  the decoders' limits can wrap during synthesis; such a set is no valid
+  stream, decodes to garbage either way, and the decoders' sample range
+  checks still run on what comes out.
 """
 
 from __future__ import annotations
@@ -32,8 +56,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CodecError
+from .image import as_int32
 
 Band = tuple[str, int, int]
+
+MAX_MAGNITUDE = 1 << 24
+"""Largest sample magnitude :func:`decompose` and :func:`dwt_forward_53` accept."""
 
 
 def _split_axis(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -41,7 +69,7 @@ def _split_axis(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[axis]
     nh, m = n // 2, (n - 1) // 2  # m: odd samples with an even one on each side
     shapes = [a.shape[:axis] + (h,) + a.shape[axis + 1 :] for h in (n - nh, nh)]
-    low, high = (np.empty(shape, dtype=np.int64) for shape in shapes)
+    low, high = (np.empty(shape, dtype=np.int32) for shape in shapes)
     x, lo, hi = (np.moveaxis(arr, axis, 0) for arr in (a, low, high))
     even, odd = x[0::2], x[1::2]
     if nh == 0:
@@ -63,7 +91,7 @@ def _merge_axis(low: np.ndarray, high: np.ndarray, axis: int) -> np.ndarray:
     if nl - nh not in (0, 1) or nl == 0:
         raise CodecError("inconsistent band lengths for inverse transform")
     n, m = nl + nh, nl - 1
-    out = np.empty(low.shape[:axis] + (n,) + low.shape[axis + 1 :], dtype=np.int64)
+    out = np.empty(low.shape[:axis] + (n,) + low.shape[axis + 1 :], dtype=np.int32)
     lo, hi, x = (np.moveaxis(arr, axis, 0) for arr in (low, high, out))
     even, odd = x[0::2], x[1::2]
     if nh == 0:
@@ -91,7 +119,7 @@ def _smooth_update(hi: np.ndarray, out: np.ndarray, n: int) -> None:
 
 def dwt_forward_53(line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward one-level 5/3 transform of a 1-D integer line."""
-    arr = np.asarray(line, dtype=np.int64)
+    arr = as_int32(line, -MAX_MAGNITUDE, MAX_MAGNITUDE)
     if arr.ndim != 1 or arr.size == 0:
         raise CodecError("transform input must be a non-empty 1-D line")
     return _split_axis(arr, 0)
@@ -99,8 +127,7 @@ def dwt_forward_53(line: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def dwt_inverse_53(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Exact integer inverse of :func:`dwt_forward_53`."""
-    lo = np.asarray(low, dtype=np.int64)
-    hi = np.asarray(high, dtype=np.int64)
+    lo, hi = as_int32(low), as_int32(high)
     if lo.ndim != 1 or hi.ndim != 1:
         raise CodecError("band inputs must be 1-D")
     if lo.size == 0:
@@ -148,7 +175,7 @@ def decompose(
 ) -> list[np.ndarray]:
     """Split a plane into C-contiguous coefficient bands in canonical order."""
     _validate_levels(levels_h, levels_v)
-    current = np.asarray(plane, dtype=np.int64)
+    current = as_int32(plane, -MAX_MAGNITUDE, MAX_MAGNITUDE)
     if current.ndim != 2 or current.size == 0:
         raise CodecError("plane must be a non-empty 2-D array")
     stages: list[list[np.ndarray]] = []
@@ -170,11 +197,11 @@ def decompose(
 def recompose(
     bands: list[np.ndarray], width: int, height: int, levels_h: int, levels_v: int
 ) -> np.ndarray:
-    """Exact inverse of :func:`decompose`; bands may be any int64 views."""
+    """Exact inverse of :func:`decompose`; bands may be any integer views that fit int32."""
     layout = band_dimensions(width, height, levels_h, levels_v)
     if len(bands) != len(layout):
         raise CodecError(f"expected {len(layout)} bands, got {len(bands)}")
-    bands = [np.asarray(arr, dtype=np.int64) for arr in bands]
+    bands = [as_int32(arr) for arr in bands]
     for arr, (name, bw, bh) in zip(bands, layout):
         if arr.shape != (bh, bw):
             raise CodecError(f"band {name} has shape {arr.shape}, expected {(bh, bw)}")

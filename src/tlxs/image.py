@@ -13,9 +13,28 @@ from .errors import CodecError
 INFINITE = math.inf
 """Distinguished PSNR value for a zero-MSE (identical) image pair."""
 
+_INT32 = np.iinfo(np.int32)
+
+
+def as_int32(values, low: int = _INT32.min, high: int = _INT32.max) -> np.ndarray:
+    """``values`` as an int32 array; :class:`CodecError` unless all lie in ``[low, high]``.
+
+    The check comes before the narrowing, since ``astype`` wraps silently
+    (``2**32 + 5`` would become 5). An int32 array needs no check against the
+    default bounds and is returned as it is.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == np.int32 and (low, high) == (_INT32.min, _INT32.max):
+        return arr
+    if arr.dtype.kind not in "biuO":  # Python ints beyond int64 stay objects
+        arr = np.asarray(arr, dtype=np.int64)
+    if arr.size and (int(arr.min()) < low or int(arr.max()) > high):
+        raise CodecError(f"values must lie in [{low}, {high}]")
+    return arr.astype(np.int32, copy=False)
+
 
 def _as_plane(a: np.ndarray) -> np.ndarray:
-    plane = np.asarray(a, dtype=np.int64)
+    plane = as_int32(a)
     if plane.ndim != 2:
         raise CodecError(f"plane must be 2-D, got shape {plane.shape}")
     plane = np.ascontiguousarray(plane)
@@ -27,9 +46,10 @@ def _as_plane(a: np.ndarray) -> np.ndarray:
 class PlanarImage:
     """2-D integer sample planes, one per component, at a shared bit depth.
 
-    Planes are row-major ``int64`` arrays of shape ``(height, width)``, made
+    Planes are row-major ``int32`` arrays of shape ``(height, width)``, made
     read-only at construction so images can be shared freely. Every sample of
-    an N-bit image lies in ``[0, 2**N - 1]``.
+    an N-bit image lies in ``[0, 2**N - 1]``; a value that does not fit in
+    int32 is rejected, never wrapped.
     """
 
     width: int

@@ -25,6 +25,7 @@ from .residual import (
     dc_shift,
     decode_extension,
     encode_extension,
+    parse_extension_header,
 )
 
 
@@ -105,6 +106,21 @@ def decode_two_layer(data: bytes) -> DecodeResult:
     if not base_payload and not ext_payload:
         raise ContainerError("container has neither base nor extension layer")
 
+    # The extension's header is checked against the container before either
+    # layer decodes a sample.
+    if ext_payload:
+        ext_info = parse_extension_header(
+            ext_payload, meta.width, meta.height, meta.components
+        )
+        if int(ext_info.coder) != meta.coder_id:
+            raise ContainerError("extension coder disagrees with container header")
+        # A base adds one bit to the residual, which the extension holds DC-shifted.
+        expected = meta.bit_depth + bool(base_payload)
+        if ext_info.depth != expected:
+            raise ContainerError(
+                f"extension depth {ext_info.depth} does not match expected depth {expected}"
+            )
+
     base_image: PlanarImage | None = None
     if base_payload:
         base_image = decode_base(base_payload)
@@ -115,17 +131,9 @@ def decode_two_layer(data: bytes) -> DecodeResult:
             image=base_image, lossless=False, has_base=True, has_extension=False
         )
 
-    planes, coder, depth = decode_extension(
-        ext_payload, meta.width, meta.height, meta.components
+    planes, _, _ = decode_extension(
+        ext_payload, meta.width, meta.height, meta.components, ext_info
     )
-    if int(coder) != meta.coder_id:
-        raise ContainerError("extension coder disagrees with container header")
-    # A base adds one bit to the residual, which the extension holds DC-shifted.
-    expected = meta.bit_depth + (base_image is not None)
-    if depth != expected:
-        raise ContainerError(
-            f"extension depth {depth} does not match expected depth {expected}"
-        )
     if base_image is not None:
         offset = (1 << meta.bit_depth) - 1
         planes = [b + (s - offset) for s, b in zip(planes, base_image.planes)]

@@ -81,12 +81,12 @@ def parse_pnm(data: bytes) -> PlanarImage:
         raw = data[pos : pos + 2 * sample_count]
         if len(raw) != 2 * sample_count:
             raise PnmError("truncated raster data")
-        samples = np.frombuffer(raw, dtype=">u2").astype(np.int64)
+        samples = np.frombuffer(raw, dtype=">u2").astype(np.int32)
     else:
         raw = data[pos : pos + sample_count]
         if len(raw) != sample_count:
             raise PnmError("truncated raster data")
-        samples = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+        samples = np.frombuffer(raw, dtype=np.uint8).astype(np.int32)
     if samples.size and int(samples.max()) > maxval:
         raise PnmError("sample exceeds maxval")
 

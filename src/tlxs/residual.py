@@ -60,7 +60,7 @@ import numpy as np
 
 from . import dwt, rice
 from .errors import BitstreamError, CodecError
-from .image import PlanarImage
+from .image import PlanarImage, as_int32
 
 EXT_MAGIC = b"XSE1"
 _EXT_FIXED = struct.Struct(">4sBB")
@@ -81,7 +81,7 @@ class ResidualPlane:
 
     ``depth`` is ``N + 1`` for residuals of an N-bit image. Unshifted samples
     lie in ``[-(2**N - 1), 2**N - 1]``; shifted samples in
-    ``[0, 2**(N+1) - 2]``.
+    ``[0, 2**(N+1) - 2]``. Samples are a read-only ``int32`` array.
     """
 
     width: int
@@ -110,7 +110,7 @@ class ResidualPlane:
     def from_samples(
         cls, samples: np.ndarray, depth: int, shifted: bool
     ) -> "ResidualPlane":
-        arr = np.ascontiguousarray(np.asarray(samples, dtype=np.int64))
+        arr = np.ascontiguousarray(as_int32(samples))
         arr.flags.writeable = False
         height, width = arr.shape
         return cls(width=width, height=height, depth=depth, shifted=shifted, samples=arr)
@@ -186,7 +186,7 @@ def _plane_samples(plane: PlaneLike, depth: int) -> np.ndarray:
             )
         samples = plane.samples
     else:
-        samples = np.asarray(plane, dtype=np.int64)
+        samples = as_int32(plane)
     if samples.ndim != 2 or samples.size == 0:
         raise CodecError("coder input must be a non-empty 2-D plane")
     if not 2 <= depth <= 17:
@@ -335,7 +335,12 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
     if nbits - pos >= 8 or data[-1] & ((1 << (nbits - pos)) - 1):
         raise BitstreamError(f"at bit {pos}: trailing data after predictive stream")
     mapped = np.fromiter(mapped, dtype=np.int64, count=count)
-    errors = rice.zigzag_unmap(mapped).reshape(height, width)
+    # A valid error is below 2**depth in magnitude, its mapped value below
+    # 2 << depth. Clamping a larger one keeps the first sample out of range
+    # where it was (every sample before it is exact and in range, so this one
+    # still lands outside), and it makes every error fit in int32.
+    clamped = np.minimum(mapped, 2 << depth).astype(np.int32)
+    errors = rice.zigzag_unmap(clamped).reshape(height, width)
     samples = _unpredict(errors, depth)
     high = (1 << depth) - 1
     if int(samples.min()) < 0 or int(samples.max()) > high:
@@ -372,7 +377,7 @@ def _unpredict(errors: np.ndarray, depth: int) -> np.ndarray:
     if height > width:  # MED is symmetric in west and north: skew the short side
         return np.ascontiguousarray(_unpredict(errors.T, depth).T)
     first = (1 << (depth - 1)) - 1
-    out = errors.copy()
+    out = errors.astype(np.int32)  # errors are below 2**depth in magnitude
     out[0] = np.cumsum(errors[0]) + first
     out[:, 0] = np.cumsum(errors[:, 0]) + first
     if height == 1:
@@ -381,7 +386,7 @@ def _unpredict(errors: np.ndarray, depth: int) -> np.ndarray:
     # anti-diagonal at a time on a copy skewed to make each one a row.
     diag = np.add.outer(np.arange(height), np.arange(width))
     rows = np.arange(height)[:, None]
-    skew = np.zeros((height + width - 1, height), dtype=np.int64)
+    skew = np.zeros((height + width - 1, height), dtype=np.int32)
     skew[diag, rows] = out
     for t in range(2, height + width - 1):
         lo, hi = max(1, t - width + 1), min(height, t)
@@ -440,9 +445,9 @@ def decode_wavelet_lossless(
         header_size,
     )
     for record, values in zip(records, decoded):
-        if values.size and int(np.abs(values).max()) > limit:
-            raise BitstreamError("coefficient out of range")
-        bands.append(values.reshape(record.height, record.width))
+        if values.size and (int(values.max()) > limit or int(values.min()) < -limit):
+            raise BitstreamError(f"band {record.name}: coefficient out of range")
+        bands.append(values.astype(np.int32).reshape(record.height, record.width))
     samples = dwt.recompose(bands, width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     if int(samples.min()) < 0 or int(samples.max()) > (1 << depth) - 1:
         raise BitstreamError("decoded samples out of range")
@@ -529,10 +534,19 @@ def parse_extension_header(
 
 
 def decode_extension(
-    data: bytes, width: int, height: int, components: int
+    data: bytes,
+    width: int,
+    height: int,
+    components: int,
+    info: ExtensionInfo | None = None,
 ) -> tuple[list[np.ndarray], LosslessCoderId, int]:
-    """Split and decode an extension payload; returns (planes, coder, depth)."""
-    info = parse_extension_header(data, width, height, components)
+    """Split and decode an extension payload; returns (planes, coder, depth).
+
+    ``info`` is what :func:`parse_extension_header` returned for these
+    arguments, for a caller that has already read the header.
+    """
+    if info is None:
+        info = parse_extension_header(data, width, height, components)
     decode = _DECODERS[info.coder]
     planes = []
     for comp, part in enumerate(info.components):

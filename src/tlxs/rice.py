@@ -63,15 +63,24 @@ PREFIX_ROWS = [_UNFILLED] * (MAX_RICE_K + 1)
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
+def _int32_or_int64(values) -> np.ndarray:
+    values = np.asarray(values)
+    return values if values.dtype == np.int32 else np.asarray(values, dtype=np.int64)
+
+
 def zigzag_map(values: np.ndarray) -> np.ndarray:
-    """Map signed integers onto non-negative ones (0,-1,1,-2 -> 0,1,2,3)."""
-    values = np.asarray(values, dtype=np.int64)
-    return (values << 1) ^ (values >> 63)
+    """Map signed integers onto non-negative ones (0,-1,1,-2 -> 0,1,2,3).
+
+    int32 stays int32 (its values must lie within ``+-2**30``), every other
+    type maps as int64.
+    """
+    values = _int32_or_int64(values)
+    return (values << 1) ^ (values >> (8 * values.itemsize - 1))
 
 
 def zigzag_unmap(mapped: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`zigzag_map`."""
-    mapped = np.asarray(mapped, dtype=np.int64)
+    """Inverse of :func:`zigzag_map`, keeping int32 as int32 as well."""
+    mapped = _int32_or_int64(mapped)
     return (mapped >> 1) ^ -(mapped & 1)
 
 

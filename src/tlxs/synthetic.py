@@ -101,15 +101,10 @@ def _bilinear_lattice(
     y0 = np.minimum(ys.astype(np.int64), cells_y - 1)
     fx = xs - x0
     fy = ys - y0
-    top = (
-        lattice[y0][:, x0] * (1 - fx)[np.newaxis, :]
-        + lattice[y0][:, x0 + 1] * fx[np.newaxis, :]
-    )
-    bottom = (
-        lattice[y0 + 1][:, x0] * (1 - fx)[np.newaxis, :]
-        + lattice[y0 + 1][:, x0 + 1] * fx[np.newaxis, :]
-    )
-    return top * (1 - fy)[:, np.newaxis] + bottom * fy[:, np.newaxis]
+    # along x on the lattice rows first, then between rows y0 and y0 + 1:
+    # the same products and sums per pixel as interpolating in 2-D at once
+    rows = lattice[:, x0] * (1 - fx) + lattice[:, x0 + 1] * fx
+    return rows[y0] * (1 - fy)[:, np.newaxis] + rows[y0 + 1] * fy[:, np.newaxis]
 
 
 def natural_image(
@@ -141,7 +136,7 @@ def natural_image(
     lo, hi = field.min(), field.max()
     if hi > lo:
         field = (field - lo) / (hi - lo)
-    plane = np.floor(field * maxv + 0.5).astype(np.int64)
+    plane = np.floor(field * maxv + 0.5).astype(np.int32)
     return _gray(plane, bit_depth)
 
 

@@ -328,8 +328,8 @@ def test_decode_base_leaves_empty_bands_unallocated(monkeypatch):
     payload = encode_base(natural_image(512, 512, 8), BaseConfig(target_bpp=0.5))
     records = parse_base_header(payload).records
     assert [r.name for r in records if r.bits == 0] == ["HL1", "LH1", "HH1"]
-    full_band = 8 * 256 * 256  # one int64 level-1 band: 512 KiB
-    coded = sum(8 * r.width * r.height for r in records if r.bits)
+    full_band = 4 * 256 * 256  # one int32 level-1 band: 256 KiB
+    coded = sum(4 * r.width * r.height for r in records if r.bits)
     held = []
     original = dwt.recompose
 
@@ -337,6 +337,7 @@ def test_decode_base_leaves_empty_bands_unallocated(monkeypatch):
         # what decode_base holds once every band is ready
         held.append(tracemalloc.get_traced_memory()[0])
         for band, record in zip(bands, records):
+            assert band.dtype == np.int32
             if record.bits == 0:
                 assert band.strides == (0, 0) and not band.flags.writeable
         return original(bands, *args)
@@ -376,3 +377,60 @@ def test_band_declaring_step_0_rejected():
     payload[base._FIXED.size : base._FIXED.size + 2] = bytes(2)  # first record's step
     with pytest.raises(BitstreamError):
         decode_base(bytes(payload))
+
+
+def _one_band_payload(index, step, bit_depth=16):
+    """A 1x1 base payload at 6/2 levels whose one coded band, L, holds ``index``."""
+    layout = dwt.band_dimensions(1, 1, 6, 2)
+    [(k, bits)], section = rice.encode_bands([np.array([index], dtype=np.int64)])
+    header = base._FIXED.pack(base.MAGIC, 1, 1, 1, bit_depth, (6 << 4) | 2)
+    records = [base._RECORD.pack(step, k, bits)]
+    records += [base._RECORD.pack(step, 0, 0)] * (len(layout) - 1)
+    return header + b"".join(records) + section
+
+
+@pytest.mark.parametrize("step", [1, 1000, base.MAX_STEP])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_index_bound_is_checked_before_dequantizing(step, sign):
+    # |i| * step + step // 2 may reach the limit, 2**(16 + 6 + 2 + 1) + MAX_STEP
+    limit = (1 << 25) + base.MAX_STEP
+    bound = (limit - step // 2) // step
+    plane = decode_base(_one_band_payload(sign * bound, step)).planes[0]
+    assert plane.dtype == np.int32
+    assert plane[0, 0] == (65535 if sign > 0 else 0)
+    with pytest.raises(BitstreamError, match="band L: coefficient out of range"):
+        decode_base(_one_band_payload(sign * (bound + 1), step))
+
+
+def test_index_that_would_wrap_in_int32_is_rejected():
+    # 2**40 narrowed to int32 is 0; the check runs on the decoded int64 indices
+    with pytest.raises(BitstreamError, match="coefficient out of range"):
+        decode_base(_one_band_payload(1 << 40, base.MAX_STEP))
+
+
+def test_dequantize_rejects_indices_whose_reconstruction_would_wrap():
+    bound = (2**31 - 1 - 1000 // 2) // 1000
+    assert base.dequantize_deadzone(np.array([-bound, bound]), 1000).tolist() == [
+        -(bound * 1000 + 500),
+        bound * 1000 + 500,
+    ]
+    for index in (bound + 1, -bound - 1, 2**32 + 5):
+        with pytest.raises(CodecError):
+            base.dequantize_deadzone(np.array([index]), 1000)
+
+
+def test_quantizer_arrays_are_int32():
+    coeffs = np.arange(-300, 301, dtype=np.int64)
+    indices = quantize_deadzone(coeffs, 7)
+    assert indices.dtype == np.int32
+    assert base.dequantize_deadzone(indices, 7).dtype == np.int32
+    with pytest.raises(CodecError):
+        quantize_deadzone(np.array([2**32 + 5]), 7)
+
+
+def test_decoded_planes_are_int32():
+    planes = [natural_image(40, 24, 12, seed=seed).planes[0] for seed in (1, 2, 3)]
+    image = PlanarImage.from_planes(planes, 12)
+    for target in (LOSSLESS_BASE, 0.5):
+        decoded = decode_base(encode_base(image, BaseConfig(target_bpp=target)))
+        assert all(plane.dtype == np.int32 for plane in decoded.planes)

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from tlxs.base import MAX_STEP, dequantize_deadzone, quantize_deadzone
 from tlxs.dwt import (
+    MAX_MAGNITUDE,
     band_dimensions,
     decompose,
     dwt_forward_53,
@@ -257,3 +259,144 @@ def test_recompose_reads_broadcast_zero_and_strided_bands(width, height):
     out = recompose(bands, width, height, 5, 2)
     assert out.flags.c_contiguous and out.flags.writeable
     assert np.array_equal(out, recompose_oracle(bands, 5, 2))
+
+
+@pytest.mark.parametrize("value", [2**32 + 5, 2**32 - 1, -(2**32) - 5])
+def test_samples_that_would_wrap_in_int32_are_rejected(value):
+    # astype(np.int32) would turn 2**32 + 5 into 5 and 2**32 - 1 into -1
+    plane = np.zeros((4, 6), dtype=np.int64)
+    plane[1, 3] = value
+    with pytest.raises(CodecError):
+        decompose(plane, 2, 1)
+    with pytest.raises(CodecError):
+        dwt_forward_53(plane[1])
+
+
+def test_transform_input_is_bounded_by_max_magnitude():
+    plane = np.full((5, 9), MAX_MAGNITUDE, dtype=np.int64)
+    plane[::2, ::3] = -MAX_MAGNITUDE
+    assert np.array_equal(recompose(decompose(plane, 3, 2), 9, 5, 3, 2), plane)
+    for value in (MAX_MAGNITUDE + 1, -MAX_MAGNITUDE - 1):
+        plane[2, 4] = value
+        with pytest.raises(CodecError):
+            decompose(plane, 3, 2)
+
+
+def test_bands_and_planes_are_int32():
+    plane = np.arange(35 * 21).reshape(21, 35) % 4096
+    bands = decompose(plane, 5, 2)
+    assert all(band.dtype == np.int32 for band in bands)
+    out = recompose(bands, 35, 21, 5, 2)
+    assert out.dtype == np.int32 and np.array_equal(out, plane)
+    low, high = dwt_forward_53(plane[0])
+    assert low.dtype == high.dtype == np.int32
+    assert dwt_inverse_53(low, high).dtype == np.int32
+
+
+def _checkerboard(width, height, high):
+    return np.add.outer(np.arange(height), np.arange(width)) % 2 * high
+
+
+def _vertical_edge(width, height, high):
+    return np.where(np.arange(width) >= width // 2, high, 0)[None, :].repeat(height, 0)
+
+
+def _horizontal_edge(width, height, high):
+    return _vertical_edge(height, width, high).T
+
+
+def _dequantize_int64(coeff, step):
+    index = np.sign(coeff) * (np.abs(coeff) // step)
+    return np.sign(index) * (np.abs(index) * step + step // 2)
+
+
+@pytest.mark.parametrize("make", [_checkerboard, _vertical_edge, _horizontal_edge])
+@pytest.mark.parametrize("step", [1, MAX_STEP])
+@pytest.mark.parametrize("width, height", [(67, 45), (128, 8)])
+def test_16_bit_extremes_at_6_2_levels_match_int64_oracle(make, step, width, height):
+    # full-scale 0/65535 patterns at the base layer's deepest levels, then
+    # the quantization error of the coarsest step amplified by synthesis
+    plane = make(width, height, (1 << 16) - 1)
+    bands = decompose(plane, 6, 2)
+    want = decompose_oracle(plane, 6, 2)
+    assert all(np.array_equal(got, band) for got, band in zip(bands, want))
+    coeffs = [dequantize_deadzone(quantize_deadzone(band, step), step) for band in bands]
+    want_coeffs = [_dequantize_int64(band, step) for band in want]
+    assert all(np.array_equal(got, c) for got, c in zip(coeffs, want_coeffs))
+    out = recompose(coeffs, width, height, 6, 2)
+    assert out.dtype == np.int32
+    assert np.array_equal(out, recompose_oracle(want_coeffs, 6, 2))
+
+
+@pytest.mark.parametrize("make", [_checkerboard, _vertical_edge, _horizontal_edge])
+def test_17_bit_residual_extremes_at_3_3_levels_match_int64_oracle(make):
+    # shifted residuals of a 16-bit image span 0 .. 2**17 - 2
+    plane = make(45, 37, (1 << 17) - 2)
+    bands = decompose(plane, 3, 3)
+    assert all(np.array_equal(b, w) for b, w in zip(bands, decompose_oracle(plane, 3, 3)))
+    assert np.array_equal(recompose(bands, 45, 37, 3, 3), plane)
+
+
+def _synthesis_columns(n, levels):
+    """Columns of the 1-D synthesis from each band of an n-sample line.
+
+    Returns ``{("L", s) or ("H", s): n x size matrix}`` for the low and high
+    halves at level ``s``, measured on scaled impulses through the int64 row
+    oracle (the floors make it linear only up to 2**-20).
+    """
+    scale = 1 << 20
+    columns = {("L", 0): np.eye(n)}
+    size = n
+    for s in range(1, levels + 1):
+        nl, nh = (size + 1) // 2, size // 2
+        low = _merge_rows_oracle(scale * np.eye(nl, dtype=np.int64), np.zeros((nl, nh), np.int64))
+        high = _merge_rows_oracle(np.zeros((nh, nl), np.int64), scale * np.eye(nh, dtype=np.int64))
+        columns[("H", s)] = columns[("L", s - 1)] @ (high.T / scale)
+        columns[("L", s)] = columns[("L", s - 1)] @ (low.T / scale)
+        size = nl
+    return columns
+
+
+def _worst_case_bands(width, height, levels_h, levels_v, limit):
+    """Bands at +-``limit`` signed to push one output sample as far as synthesis can.
+
+    A band's synthesis is the outer product of a vertical and a horizontal
+    1-D synthesis, so its weight on sample (y, x) is the product of their
+    absolute row sums, and the signs that push (y, x) hardest are the outer
+    product of their row signs. The sample pushed is the one of largest total.
+    """
+    h = _synthesis_columns(width, levels_h)
+    v = _synthesis_columns(height, levels_v)
+    factors = []  # (vertical, horizontal) per band, in canonical order
+    for name, _, _ in band_dimensions(width, height, levels_h, levels_v):
+        kind, s = name.rstrip("0123456789"), int(name.lstrip("LH") or 0)
+        if kind == "L":
+            factors.append((v["L", levels_v], h["L", levels_h]))
+        elif kind == "H":
+            factors.append((v["L", levels_v], h["H", s]))
+        else:  # HL, LH, HH: horizontal half first, vertical half second
+            factors.append((v[kind[1], s], h[kind[0], s]))
+    gain = sum(np.outer(np.abs(fv).sum(1), np.abs(fh).sum(1)) for fv, fh in factors)
+    y, x = np.unravel_index(np.argmax(gain), gain.shape)
+    return [
+        limit * np.outer(np.where(fv[y] < 0, -1, 1), np.where(fh[x] < 0, -1, 1))
+        for fv, fh in factors
+    ]
+
+
+@pytest.mark.parametrize(
+    "width, height, levels_h, levels_v, limit",
+    [
+        (64, 64, 6, 2, (1 << 25) + MAX_STEP),  # decode_base's limit at 16 bits
+        (100, 100, 3, 3, 1 << 24),  # the wavelet extension's limit at 17 bits
+    ],
+)
+def test_hostile_bands_at_the_decoder_limits_do_not_wrap(
+    width, height, levels_h, levels_v, limit
+):
+    bands = _worst_case_bands(width, height, levels_h, levels_v, limit)
+    want = recompose_oracle(bands, levels_h, levels_v)
+    # the push reaches past 8 times the limit (the bound is 11 at 6/2 and 10
+    # at 3/3), yet int32 synthesis agrees exactly
+    assert int(np.abs(want).max()) > 8 * limit
+    assert np.array_equal(recompose(bands, width, height, levels_h, levels_v), want)

@@ -124,3 +124,25 @@ def test_planes_are_read_only():
     img = PlanarImage.from_planes([np.zeros((2, 2), dtype=np.int64)], 8)
     with pytest.raises(ValueError):
         img.planes[0][0, 0] = 1
+
+
+@pytest.mark.parametrize("value", [2**32 + 5, 2**32 - 1, -1, 2**63 + 5])
+def test_samples_that_would_wrap_or_lie_below_zero_are_rejected(value):
+    # int32 narrowing would turn 2**32 + 5 into the valid sample 5
+    plane = np.zeros((2, 3), dtype=np.uint64 if value > 2**63 else np.int64)
+    plane[1, 2] = value
+    with pytest.raises(CodecError):
+        PlanarImage.from_planes([plane], 16)
+
+
+def test_python_ints_beyond_int64_are_rejected_as_codec_errors():
+    with pytest.raises(CodecError):
+        PlanarImage.from_planes([[[1, 2**70]]], 16)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64, bool])
+def test_planes_are_read_only_int32(dtype):
+    img = PlanarImage.from_planes([np.ones((2, 3), dtype=dtype)], 8)
+    assert img.planes[0].dtype == np.int32
+    assert not img.planes[0].flags.writeable
+    assert img.planes[0].tolist() == [[1, 1, 1], [1, 1, 1]]

@@ -132,6 +132,35 @@ def test_extension_depth_must_match_layers(with_base):
         decode_two_layer(blob)
 
 
+@pytest.mark.parametrize("mismatch", ["coder", "depth"])
+@pytest.mark.parametrize("with_base", [True, False], ids=["base", "no_base"])
+def test_mismatched_extension_rejected_before_any_layer_decodes(mismatch, with_base):
+    # the component bytes, all ones, decode as a truncated stream, and the base
+    # ends in ones too: only a check made before decoding either layer raises
+    # ContainerError
+    from tlxs.base import decode_base
+    from tlxs.container import ContainerMeta, mux
+    from tlxs.errors import BitstreamError
+    from tlxs.residual import EXT_MAGIC, _EXT_FIXED, _EXT_LEN, decode_extension
+
+    garbage = b"\xff" * 64
+    depth = 8 + with_base + (mismatch == "depth")
+    ext = _EXT_FIXED.pack(EXT_MAGIC, int(LosslessCoderId.PREDICTIVE), depth)
+    ext += _EXT_LEN.pack(len(garbage)) + garbage
+    with pytest.raises(BitstreamError):
+        decode_extension(ext, 16, 16, 1)
+    coder = LosslessCoderId.WAVELET if mismatch == "coder" else LosslessCoderId.PREDICTIVE
+    base = b""
+    if with_base:
+        base = bytearray(_layers(BaseConfig(target_bpp=2.0))[0])
+        base[-8:] = b"\xff" * 8
+        with pytest.raises(BitstreamError):
+            decode_base(bytes(base))
+    blob = mux(bytes(base), ext, ContainerMeta(16, 16, 1, 8, int(coder)))
+    with pytest.raises(ContainerError):
+        decode_two_layer(blob)
+
+
 def test_restored_samples_out_of_range_rejected():
     # the largest shifted residual on top of a nonzero base passes 255
     from tlxs.container import ContainerMeta, mux

@@ -28,6 +28,14 @@ def test_step_zero_rejected():
         dequantize_deadzone(1, 0)
 
 
+def test_step_past_int32_rejected():
+    # numpy cannot combine an int32 array with a Python int past 2**31 - 1
+    with pytest.raises(CodecError):
+        quantize_deadzone(1, 2**31)
+    with pytest.raises(CodecError):
+        dequantize_deadzone(1, 2**31)
+
+
 def test_error_bound_exhaustive():
     coeffs = np.arange(-1024, 1025, dtype=np.int64)
     for step in range(1, 17):

@@ -202,6 +202,24 @@ class TestResidualAlgebra:
         with pytest.raises(CodecError):
             dc_unshift(r)
 
+    @pytest.mark.parametrize("value", [2**32 + 5, 2**32 - 1, -(2**32) + 5])
+    def test_values_that_would_wrap_in_int32_rejected(self, value):
+        for shifted in (False, True):
+            with pytest.raises(CodecError):
+                ResidualPlane.from_samples(np.array([[3, value]]), 9, shifted)
+
+    def test_residual_planes_are_int32(self):
+        rng = np.random.default_rng(3)
+        a, b = (_img(rng.integers(0, 4096, (5, 7)), 12) for _ in range(2))
+        [residual] = compute_residual(a, b)
+        shifted = dc_shift(residual)
+        for plane in (residual, shifted, dc_unshift(shifted)):
+            assert plane.samples.dtype == np.int32
+        payloads = (encode_predictive(shifted, 13), encode_wavelet_lossless(shifted, 13))
+        for payload, decode in zip(payloads, (decode_predictive, decode_wavelet_lossless)):
+            out = decode(payload, 7, 5, 13)
+            assert out.dtype == np.int32 and np.array_equal(out, shifted.samples)
+
     def test_range_invariants_enforced(self):
         with pytest.raises(CodecError):
             ResidualPlane.from_samples(np.array([[256]]), 9, False)
@@ -291,6 +309,15 @@ class TestPredictiveCoder:
     def test_out_of_depth_samples_rejected(self):
         with pytest.raises(CodecError):
             encode_predictive(np.array([[512]]), 9)
+
+    @pytest.mark.parametrize("value", [2**32 + 5, 2**32 - 1, -1])
+    def test_samples_that_would_wrap_in_int32_rejected(self, value):
+        # narrowed without a check, 2**32 + 5 would code as the valid sample 5
+        plane = np.full((2, 3), 7, dtype=np.int64)
+        plane[1, 1] = value
+        for encode in (encode_predictive, encode_wavelet_lossless):
+            with pytest.raises(CodecError):
+                encode(plane, 9)
 
     def test_deterministic(self):
         rng = np.random.default_rng(77)
@@ -559,6 +586,22 @@ class TestPredictiveErrorLocation:
             BitstreamError, match="^at bit 8: trailing data after predictive stream$"
         ):
             decode_predictive(payload + b"\x00", 8, 1, 17)
+
+    def test_error_too_large_for_int32_is_out_of_range_not_wrapped(self):
+        # 41 full-swing errors, ending on sample 0, raise k to 17, so an
+        # error of 2**31 + 2 takes only 2**15 ones; wrapped to int32 it would
+        # be 2, and sample 41, predicted 0, would land in range
+        swing = [131069] + [262142, 262141] * 20
+        mapped = np.array(swing + [(1 << 32) + 4, 0], dtype=np.int64)
+        ks = oracle_ks(mapped.tolist())
+        assert ks[41] == 17
+        payload = np.packbits(rice.pack_codes(mapped, ks)).tobytes()
+        bit = int(((mapped >> ks) + ks + 1)[:41].sum())
+        with pytest.raises(
+            BitstreamError,
+            match=rf"^sample \(0, 41\) at bit {bit}: decoded samples out of range$",
+        ):
+            decode_predictive(payload, 43, 1, 17)
 
     def test_out_of_range_sample(self):
         # 255 predicts the first sample at depth 9; +300 on it leaves 0..511
