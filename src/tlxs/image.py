@@ -38,6 +38,8 @@ def _as_plane(a: np.ndarray) -> np.ndarray:
     if plane.ndim != 2:
         raise CodecError(f"plane must be 2-D, got shape {plane.shape}")
     plane = np.ascontiguousarray(plane)
+    if plane is a and plane.flags.writeable:
+        plane = plane.copy()  # freeze a copy, never the caller's own buffer
     plane.flags.writeable = False
     return plane
 
@@ -82,7 +84,11 @@ class PlanarImage:
     def from_planes(
         cls, planes: Iterable[np.ndarray], bit_depth: int
     ) -> "PlanarImage":
-        """Build an image from 2-D arrays, normalizing dtype and writability."""
+        """Build an image from 2-D arrays, normalizing dtype and writability.
+
+        A read-only C-contiguous int32 array is kept as it is; a writeable one
+        is copied, so the caller's own buffer is never frozen.
+        """
         frozen = tuple(_as_plane(p) for p in planes)
         if not frozen:
             raise CodecError("at least one plane required")

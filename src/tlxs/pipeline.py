@@ -132,7 +132,7 @@ def decode_two_layer(data: bytes) -> DecodeResult:
         )
 
     planes, _, _ = decode_extension(
-        ext_payload, meta.width, meta.height, meta.components, ext_info
+        ext_payload, meta.width, meta.height, meta.components
     )
     if base_image is not None:
         offset = (1 << meta.bit_depth) - 1

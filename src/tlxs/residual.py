@@ -534,19 +534,10 @@ def parse_extension_header(
 
 
 def decode_extension(
-    data: bytes,
-    width: int,
-    height: int,
-    components: int,
-    info: ExtensionInfo | None = None,
+    data: bytes, width: int, height: int, components: int
 ) -> tuple[list[np.ndarray], LosslessCoderId, int]:
-    """Split and decode an extension payload; returns (planes, coder, depth).
-
-    ``info`` is what :func:`parse_extension_header` returned for these
-    arguments, for a caller that has already read the header.
-    """
-    if info is None:
-        info = parse_extension_header(data, width, height, components)
+    """Split and decode an extension payload; returns (planes, coder, depth)."""
+    info = parse_extension_header(data, width, height, components)
     decode = _DECODERS[info.coder]
     planes = []
     for comp, part in enumerate(info.components):

@@ -71,11 +71,16 @@ def _int32_or_int64(values) -> np.ndarray:
 def zigzag_map(values: np.ndarray) -> np.ndarray:
     """Map signed integers onto non-negative ones (0,-1,1,-2 -> 0,1,2,3).
 
-    int32 stays int32 (its values must lie within ``+-2**30``), every other
-    type maps as int64.
+    int32 stays int32 when every value lies in ``[-2**30, 2**30)``, where the
+    mapped values fit; any other input maps as int64.
     """
     values = _int32_or_int64(values)
-    return (values << 1) ^ (values >> (8 * values.itemsize - 1))
+    mapped = (values << 1) ^ (values >> (8 * values.itemsize - 1))
+    # an int32 value outside that range is exactly one whose mapping wraps,
+    # and a wrapped mapping reads negative
+    if mapped.dtype == np.int32 and mapped.size and mapped.min() < 0:
+        return zigzag_map(values.astype(np.int64))
+    return mapped
 
 
 def zigzag_unmap(mapped: np.ndarray) -> np.ndarray:

@@ -140,6 +140,23 @@ def test_python_ints_beyond_int64_are_rejected_as_codec_errors():
         PlanarImage.from_planes([[[1, 2**70]]], 16)
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+def test_caller_int32_buffer_stays_writeable_and_unshared(view):
+    buf = np.zeros((2, 4), dtype=np.int32)
+    plane = buf[:1] if view else buf  # both C-contiguous int32, as kept planes are
+    img = PlanarImage.from_planes([plane], 8)
+    assert buf.flags.writeable and plane.flags.writeable
+    plane[0, 0] = 7  # the caller keeps writing into its buffer
+    assert img.planes[0][0, 0] == 0
+    assert not np.shares_memory(img.planes[0], buf)
+
+
+def test_read_only_int32_plane_is_kept_as_is():
+    img = PlanarImage.from_planes([np.ones((2, 3), dtype=np.int32)], 8)
+    again = PlanarImage.from_planes(img.planes, 8)
+    assert again.planes[0] is img.planes[0]
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64, np.float64, bool])
 def test_planes_are_read_only_int32(dtype):
     img = PlanarImage.from_planes([np.ones((2, 3), dtype=dtype)], 8)

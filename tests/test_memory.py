@@ -2,7 +2,8 @@
 
 512x512 natural images at 2 bpp, measured with tracemalloc after one
 untraced decode has filled the Rice prefix tables. The bounds sit about 10%
-above what int32 samples and coefficients measure.
+above the peaks measured on CPython 3.11 with numpy 2.4 (11.9, 17.3, 4.4,
+5.3 and 12.1 MiB in the order listed below).
 """
 
 import tracemalloc

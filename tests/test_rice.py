@@ -162,6 +162,37 @@ def test_zigzag_roundtrip_int64(values):
     assert np.array_equal(zigzag_unmap(mapped), values)
 
 
+@pytest.mark.parametrize(
+    "value, stays_int32",
+    [
+        (2**30 - 1, True),
+        (-(2**30), True),
+        (2**30, False),
+        (2**30 + 5, False),
+        (-(2**30) - 1, False),
+        (2**31 - 1, False),
+        (-(2**31), False),
+    ],
+)
+def test_int32_zigzag_is_exact_over_the_whole_int32_range(value, stays_int32):
+    # (v << 1) wraps in int32 beyond +-2**30; such input must map as int64
+    narrow = np.array([3, value, -7], dtype=np.int32)
+    wide = narrow.astype(np.int64)
+    mapped = zigzag_map(narrow)
+    assert (mapped.dtype == np.int32) == stays_int32
+    assert mapped.tolist() == zigzag_map_oracle(wide).tolist()
+    assert choose_rice_k(narrow) == choose_rice_k(wide)
+    k = MAX_RICE_K
+    assert rice_bit_cost(narrow, k) == rice_bit_cost(wide, k)
+    assert np.array_equal(encode_band(narrow, k), encode_band(wide, k))
+
+
+@given(st.lists(st.integers(-(2**31), 2**31 - 1), max_size=50))
+def test_int32_zigzag_matches_int64(values):
+    narrow = np.asarray(values, dtype=np.int32)
+    assert np.array_equal(zigzag_map(narrow), zigzag_map(narrow.astype(np.int64)))
+
+
 def test_zero_band_is_one_bit_per_sample():
     bits = encode_band(np.zeros(17, dtype=np.int64), 0)
     assert bits.tolist() == [0] * 17
