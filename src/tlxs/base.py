@@ -24,9 +24,12 @@ coefficient and sub-bpp rate targets would be unreachable. The payload is a
 pure function of ``(image, config)``.
 
 Coefficients and quantizer indices are ``int32`` (see :mod:`tlxs.dwt` for
-the bounds). The decoder checks each band's indices against its coefficient
-limit before it dequantizes them, so ``|i| * step`` is never formed for an
-index that could wrap.
+the bounds). The encoder splits every band into ``(|c|, sign, peak)`` once;
+rate control probes that split, and the encode quantizes each band from it
+as ``sign * (|c| // step)``, absent exactly when ``peak < step``. The index
+bound, the largest ``|i|`` whose reconstruction fits the coefficient limit,
+is checked by :func:`tlxs.rice.decode_bands` before it narrows a band to
+int32, so ``|i| * step`` is never formed for an index that could wrap.
 """
 
 from __future__ import annotations
@@ -145,11 +148,22 @@ def _dequantize(index: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
-def _decompose_image(image: PlanarImage, config: BaseConfig) -> list[list[np.ndarray]]:
-    return [
-        dwt.decompose(plane, config.levels_h, config.levels_v)
-        for plane in image.planes
-    ]
+BandSplit = list[tuple[np.ndarray, np.ndarray, int]]
+
+
+def _split_bands(image: PlanarImage, config: BaseConfig) -> BandSplit:
+    """Every band, component-major, as ``(|c|, sign, peak)``.
+
+    ``sign * (|c| // step)`` is :func:`quantize_deadzone` at ``step``, and it
+    is all zeros exactly when ``peak < step``.
+    """
+    split = []
+    for plane in image.planes:
+        for band in dwt.decompose(plane, config.levels_h, config.levels_v):
+            magnitude = np.abs(band)
+            sign = np.sign(band).astype(np.int8)
+            split.append((magnitude, sign, int(magnitude.max(initial=0))))
+    return split
 
 
 def rate_control(image: PlanarImage, config: BaseConfig) -> tuple[tuple[int, ...], bool]:
@@ -160,23 +174,13 @@ def rate_control(image: PlanarImage, config: BaseConfig) -> tuple[tuple[int, ...
     """
     if config.target_bpp is None:
         raise CodecError("rate control needs a positive bit rate target")
-    comp_bands = _decompose_image(image, config)
-    return _rate_control_on_bands(comp_bands, image, config)
+    return _rate_control_on_split(_split_bands(image, config), image, config)
 
 
-def _rate_control_on_bands(
-    comp_bands: list[list[np.ndarray]], image: PlanarImage, config: BaseConfig
+def _rate_control_on_split(
+    split: BandSplit, image: PlanarImage, config: BaseConfig
 ) -> tuple[tuple[int, ...], bool]:
-    n_bands = len(comp_bands[0])
-    # Each probe quantizes as sign * (|c| // step), which is quantize_deadzone
-    # with |c| and sign taken once here; a band whose largest |c| is below the
-    # step quantizes to all zeros and costs no section bytes.
-    split = []
-    for bands in comp_bands:
-        for band in bands:
-            magnitude = np.abs(band)
-            sign = np.sign(band).astype(np.int8)
-            split.append((magnitude, sign, int(magnitude.max(initial=0))))
+    n_bands = len(split) // image.components
     header_bytes = _FIXED.size + _RECORD.size * len(split)
     budget = config.target_bpp * (1.0 + RATE_TOLERANCE) * image.pixel_count
 
@@ -200,8 +204,8 @@ def _rate_control_on_bands(
     return (hi,) * n_bands, False
 
 
-def _section_bytes(split: list[tuple[np.ndarray, np.ndarray, int]], step: int) -> int:
-    """Band-section size with every ``(|c|, sign, peak)`` band quantized at ``step``."""
+def _section_bytes(split: BandSplit, step: int) -> int:
+    """Band-section size with every band of the split quantized at ``step``."""
     total = 0
     for magnitude, sign, peak in split:
         if peak >= step:
@@ -212,25 +216,20 @@ def _section_bytes(split: list[tuple[np.ndarray, np.ndarray, int]], step: int) -
 
 def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeResult:
     """Encode and also report the chosen steps and the overshoot flag."""
-    comp_bands = _decompose_image(image, config)
+    split = _split_bands(image, config)
     if config.target_bpp is None:
-        steps: tuple[int, ...] = (1,) * len(comp_bands[0])
+        steps: tuple[int, ...] = (1,) * (len(split) // image.components)
         overshoot = False
     else:
-        steps, overshoot = _rate_control_on_bands(comp_bands, image, config)
+        steps, overshoot = _rate_control_on_split(split, image, config)
+    band_steps = steps * image.components
 
     # Quantized lazily, so only one band's indices and bits are alive at once.
-    coded: list[bool] = []
-
-    def coded_bands():
-        for bands in comp_bands:
-            for band, step in zip(bands, steps):
-                indices = quantize_deadzone(band, step)
-                coded.append(bool(indices.any()))
-                if coded[-1]:
-                    yield indices
-
-    entries, section = rice.encode_bands(coded_bands())
+    entries, section = rice.encode_bands(
+        sign * (magnitude // step)
+        for (magnitude, sign, peak), step in zip(split, band_steps)
+        if peak >= step
+    )
 
     header = bytearray(
         _FIXED.pack(
@@ -243,8 +242,8 @@ def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeRe
         )
     )
     entries_iter = iter(entries)
-    for step, is_coded in zip(steps * len(comp_bands), coded):
-        k, nbits = next(entries_iter) if is_coded else (0, 0)
+    for (_, _, peak), step in zip(split, band_steps):
+        k, nbits = next(entries_iter) if peak >= step else (0, 0)
         header += _RECORD.pack(step, k, nbits)
     return BaseEncodeResult(bytes(header) + section, steps, overshoot)
 
@@ -308,13 +307,17 @@ def decode_base(payload: bytes) -> PlanarImage:
     """Reconstruct the base image; bit-exact mirror of the encoder's own view."""
     info = parse_base_header(payload)
     records = [r for r in info.records if r.bits]
+    # |i| * step + step // 2 <= limit for every index the section reader yields
+    limit = (1 << (info.bit_depth + info.levels_h + info.levels_v + 1)) + MAX_STEP
     coded = rice.decode_bands(
         payload[info.data_offset :],
-        [(r.width * r.height, r.k, r.bits) for r in records],
+        [
+            ((r.height, r.width), r.k, r.bits, (limit - r.step // 2) // r.step)
+            for r in records
+        ],
         [f"base component {r.component}: band {r.name}" for r in records],
         info.data_offset,
     )
-    limit = (1 << (info.bit_depth + info.levels_h + info.levels_v + 1)) + MAX_STEP
     bands_per_comp = len(info.records) // info.components
     planes = []
     for comp in range(info.components):
@@ -328,15 +331,7 @@ def decode_base(payload: bytes) -> PlanarImage:
                 # is zero; a read-only view stands in for the band
                 bands.append(np.broadcast_to(np.int32(0), shape))
                 continue
-            # |i| * step + step // 2 <= limit, checked before it is formed
-            indices = next(coded)
-            bound = (limit - record.step // 2) // record.step
-            if int(indices.max()) > bound or int(indices.min()) < -bound:
-                raise BitstreamError(
-                    f"base component {comp}: band {record.name}: coefficient out of range"
-                )
-            coeffs = _dequantize(indices.astype(np.int32), record.step)
-            bands.append(coeffs.reshape(shape))
+            bands.append(_dequantize(next(coded), record.step))
         plane = dwt.recompose(
             bands, info.width, info.height, info.levels_h, info.levels_v
         )

@@ -33,7 +33,13 @@ def as_int32(values, low: int = _INT32.min, high: int = _INT32.max) -> np.ndarra
     return arr.astype(np.int32, copy=False)
 
 
-def _as_plane(a: np.ndarray) -> np.ndarray:
+def as_plane(a) -> np.ndarray:
+    """``a`` as a read-only C-contiguous 2-D int32 plane.
+
+    A read-only C-contiguous int32 array is kept as it is; a writeable one is
+    copied, so the caller's own buffer is never frozen. Anything not 2-D
+    raises :class:`CodecError`.
+    """
     plane = as_int32(a)
     if plane.ndim != 2:
         raise CodecError(f"plane must be 2-D, got shape {plane.shape}")
@@ -84,12 +90,8 @@ class PlanarImage:
     def from_planes(
         cls, planes: Iterable[np.ndarray], bit_depth: int
     ) -> "PlanarImage":
-        """Build an image from 2-D arrays, normalizing dtype and writability.
-
-        A read-only C-contiguous int32 array is kept as it is; a writeable one
-        is copied, so the caller's own buffer is never frozen.
-        """
-        frozen = tuple(_as_plane(p) for p in planes)
+        """Build an image from 2-D arrays, each normalized by :func:`as_plane`."""
+        frozen = tuple(as_plane(p) for p in planes)
         if not frozen:
             raise CodecError("at least one plane required")
         height, width = frozen[0].shape

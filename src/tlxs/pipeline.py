@@ -9,7 +9,7 @@ what makes the residual round trip exact.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from .errors import CodecError, ContainerError
 from .image import INFINITE, PlanarImage, bits_per_pixel, measure
 from .residual import (
     LosslessCoderId,
+    as_coder_id,
     compute_residual,
     dc_shift,
     decode_extension,
@@ -55,7 +56,7 @@ def encode_two_layer_detailed(
     base_config: BaseConfig | None,
     coder: LosslessCoderId = LosslessCoderId.PREDICTIVE,
 ) -> EncodeDetails:
-    coder = LosslessCoderId(coder)
+    coder = as_coder_id(coder)
     if base_config is None:
         base_payload = b""
         base_image = None
@@ -160,16 +161,7 @@ class SweepRow:
     lossless: bool
 
 
-CSV_COLUMNS = (
-    "coder",
-    "target_bpp",
-    "base_bpp",
-    "base_psnr",
-    "ext_bpp",
-    "overhead_bpp",
-    "total_bpp",
-    "lossless",
-)
+CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
 
 
 def bench_sweep(
@@ -195,7 +187,7 @@ def bench_sweep(
         raise CodecError("bench grid targets cannot be negative")
 
     rows = []
-    for coder in sorted(LosslessCoderId(c) for c in set(coders)):
+    for coder in sorted(as_coder_id(c) for c in set(coders)):
         for target in sorted(set(float(t) for t in grid)):
             config = None if target == 0 else BaseConfig(target_bpp=target)
             details = encode_two_layer_detailed(image, config, coder)
@@ -226,7 +218,11 @@ def bench_sweep(
     return rows
 
 
-def _fmt(value: float | None) -> str:
+def _fmt(value: str | float | bool | None) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if value is None:
         return ""
     if value == INFINITE:
@@ -239,19 +235,5 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        out.write(
-            ",".join(
-                (
-                    row.coder,
-                    _fmt(row.target_bpp),
-                    _fmt(row.base_bpp),
-                    _fmt(row.base_psnr),
-                    _fmt(row.ext_bpp),
-                    _fmt(row.overhead_bpp),
-                    _fmt(row.total_bpp),
-                    "true" if row.lossless else "false",
-                )
-            )
-            + "\n"
-        )
+        out.write(",".join(_fmt(getattr(row, name)) for name in CSV_COLUMNS) + "\n")
     return out.getvalue()

@@ -60,7 +60,7 @@ import numpy as np
 
 from . import dwt, rice
 from .errors import BitstreamError, CodecError
-from .image import PlanarImage, as_int32
+from .image import PlanarImage, as_int32, as_plane
 
 EXT_MAGIC = b"XSE1"
 _EXT_FIXED = struct.Struct(">4sBB")
@@ -73,6 +73,14 @@ _WAVELET_RECORD = struct.Struct(">BI")
 class LosslessCoderId(IntEnum):
     PREDICTIVE = 1
     WAVELET = 2
+
+
+def as_coder_id(value) -> LosslessCoderId:
+    """``value`` as a :class:`LosslessCoderId`; :class:`CodecError` if it names none."""
+    try:
+        return LosslessCoderId(value)
+    except ValueError:
+        raise CodecError(f"unknown lossless coder id {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +118,7 @@ class ResidualPlane:
     def from_samples(
         cls, samples: np.ndarray, depth: int, shifted: bool
     ) -> "ResidualPlane":
-        arr = np.ascontiguousarray(as_int32(samples))
-        arr.flags.writeable = False
+        arr = as_plane(samples)
         height, width = arr.shape
         return cls(width=width, height=height, depth=depth, shifted=shifted, samples=arr)
 
@@ -437,17 +444,14 @@ def decode_wavelet_lossless(
     records = _wavelet_bands(data, width, height)
     header_size = _WAVELET_RECORD.size * len(records)
     limit = 1 << (depth + 2 * _WAVELET_LEVELS + 1)
-    bands = []
-    decoded = rice.decode_bands(
-        data[header_size:],
-        [(r.width * r.height, r.k, r.bits) for r in records],
-        [f"band {r.name}" for r in records],
-        header_size,
+    bands = list(
+        rice.decode_bands(
+            data[header_size:],
+            [((r.height, r.width), r.k, r.bits, limit) for r in records],
+            [f"band {r.name}" for r in records],
+            header_size,
+        )
     )
-    for record, values in zip(records, decoded):
-        if values.size and (int(values.max()) > limit or int(values.min()) < -limit):
-            raise BitstreamError(f"band {record.name}: coefficient out of range")
-        bands.append(values.astype(np.int32).reshape(record.height, record.width))
     samples = dwt.recompose(bands, width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     if int(samples.min()) < 0 or int(samples.max()) > (1 << depth) - 1:
         raise BitstreamError("decoded samples out of range")
@@ -468,7 +472,7 @@ def encode_extension(
     planes: Sequence[np.ndarray], depth: int, coder: LosslessCoderId
 ) -> bytes:
     """Code planes independently and concatenate them in component order."""
-    coder = LosslessCoderId(coder)
+    coder = as_coder_id(coder)
     encode = _ENCODERS[coder]
     out = bytearray(_EXT_FIXED.pack(EXT_MAGIC, int(coder), depth))
     for plane in planes:

@@ -33,11 +33,14 @@ sequence of bands, each coded at its own cost-minimizing ``k`` (found by a
 local search on the convex coded length, see :func:`choose_rice_k`) and
 zero-padded to a byte boundary, MSB first, with no separators. The caller
 keeps each band's ``k`` and coded length in bits in its own record table;
-:func:`encode_bands` and :func:`decode_bands` own the section itself.
+:func:`encode_bands` and :func:`decode_bands` own the section itself. The
+reader checks every value against the band's declared bound while it is still
+int64, then yields the band as int32, so no value is ever wrapped.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -158,7 +161,12 @@ def pack_codes(mapped: np.ndarray, k: np.ndarray | int) -> np.ndarray:
 
 
 def decode_band(bits: np.ndarray, count: int, k: int) -> np.ndarray:
-    """Decode ``count`` signed values; the bit array must be exactly consumed."""
+    """Decode ``count`` signed int64 values; the bit array must be exactly consumed."""
+    return zigzag_unmap(_decode_mapped(bits, count, k))
+
+
+def _decode_mapped(bits: np.ndarray, count: int, k: int) -> np.ndarray:
+    """The ``count`` zigzag-mapped int64 values :func:`decode_band` unmaps."""
     if not 0 <= k <= MAX_RICE_K:
         raise ValueError(f"rice parameter {k} out of range")
     # Every code takes at least 1 + k bits; checked before any allocation.
@@ -221,7 +229,7 @@ def decode_band(bits: np.ndarray, count: int, k: int) -> np.ndarray:
     for j in range(1, k + 1):
         mapped <<= 1
         mapped |= bits[terms + j]
-    return zigzag_unmap(mapped)
+    return mapped
 
 
 def _walk_pays(unended: np.ndarray, count: int) -> bool:
@@ -258,35 +266,38 @@ def encode_bands(bands: Iterable[np.ndarray]) -> tuple[list[tuple[int, int]], by
 
 def decode_bands(
     payload: bytes,
-    entries: Sequence[tuple[int, int, int]],
-    names: Sequence[str] = (),
-    offset: int = 0,
+    entries: Sequence[tuple[tuple[int, ...], int, int, int]],
+    names: Sequence[str],
+    offset: int,
 ) -> Iterator[np.ndarray]:
-    """Yield the signed values of each band described by ``(count, k, bits)``.
+    """Yield each band described by ``(shape, k, bits, bound)`` as int32 of that shape.
 
     ``payload`` must be exactly the section :func:`encode_bands` wrote for
-    these entries. Every ``k`` must already be within ``0..MAX_RICE_K``.
-    A :class:`BitstreamError` inside band ``i`` is prefixed with
-    ``names[i]`` (or ``band i``) and the band's first bit, counted from
+    these entries. Every ``k`` must already be within ``0..MAX_RICE_K`` and
+    every ``bound`` below ``2**30``. A value with ``|v| > bound`` raises
+    ``"{name}: coefficient out of range"``, checked as ``mapped > 2 * bound``
+    before the int32 narrowing. Any other :class:`BitstreamError` inside band
+    ``i`` is prefixed with ``names[i]`` and the band's first bit, counted from
     ``offset`` bytes before ``payload``: the start of the caller's payload.
     """
-    if sum((bits + 7) // 8 for _, _, bits in entries) != len(payload):
+    if sum((bits + 7) // 8 for _, _, bits, _ in entries) != len(payload):
         raise BitstreamError("declared band sizes do not match band section length")
     pos = 0
-    for index, (count, k, bits) in enumerate(entries):
+    for name, (shape, k, bits, bound) in zip(names, entries, strict=True):
         nbytes = (bits + 7) // 8
         band_bits = np.unpackbits(
             np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=pos)
         )
         try:
             if band_bits[bits:].any():
-                raise BitstreamError(f"nonzero padding after band {index}")
-            values = decode_band(band_bits[:bits], count, k)
+                raise BitstreamError("nonzero padding after band")
+            mapped = _decode_mapped(band_bits[:bits], math.prod(shape), k)
         except BitstreamError as err:
-            name = names[index] if names else f"band {index}"
             raise BitstreamError(f"{name} at bit {8 * (offset + pos)}: {err}") from err
+        if mapped.size and int(mapped.max()) > 2 * bound:
+            raise BitstreamError(f"{name}: coefficient out of range")
         pos += nbytes
-        yield values
+        yield zigzag_unmap(mapped.astype(np.int32)).reshape(shape)
 
 
 def byte_windows(data: bytes) -> memoryview:

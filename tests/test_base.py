@@ -72,6 +72,48 @@ def rate_control_oracle(image, config):
     return (step_for(hi),) * n_bands, False, probed
 
 
+def encode_base_oracle(image, config):
+    """The encoder as it was before it quantized from rate control's split.
+
+    It decomposes the image itself, quantizes every band with
+    ``quantize_deadzone`` and tracks which bands are coded in a side list.
+    """
+    comp_bands = [
+        dwt.decompose(plane, config.levels_h, config.levels_v)
+        for plane in image.planes
+    ]
+    if config.target_bpp is None:
+        steps = (1,) * len(comp_bands[0])
+    else:
+        steps, _ = rate_control(image, config)
+    coded = []
+
+    def coded_bands():
+        for bands in comp_bands:
+            for band, step in zip(bands, steps):
+                indices = quantize_deadzone(band, step)
+                coded.append(bool(indices.any()))
+                if coded[-1]:
+                    yield indices
+
+    entries, section = rice.encode_bands(coded_bands())
+    header = bytearray(
+        base._FIXED.pack(
+            base.MAGIC,
+            image.width,
+            image.height,
+            image.components,
+            image.bit_depth,
+            (config.levels_h << 4) | config.levels_v,
+        )
+    )
+    entries_iter = iter(entries)
+    for step, is_coded in zip(steps * len(comp_bands), coded):
+        k, nbits = next(entries_iter) if is_coded else (0, 0)
+        header += base._RECORD.pack(step, k, nbits)
+    return bytes(header) + section
+
+
 @st.composite
 def base_configs(draw):
     levels_h = draw(st.integers(1, 6))
@@ -85,6 +127,26 @@ def base_configs(draw):
 def test_rate_control_matches_oracle(img, config):
     steps, overshoot, _ = rate_control_oracle(img, config)
     assert rate_control(img, config) == (steps, overshoot)
+
+
+@given(images(depths=(8, 12, 16)), base_configs(), st.booleans())
+@settings(max_examples=150)
+def test_encode_matches_oracle(img, config, lossless):
+    if lossless:
+        config = BaseConfig(config.levels_h, config.levels_v, LOSSLESS_BASE)
+    assert encode_base(img, config) == encode_base_oracle(img, config)
+
+
+@pytest.mark.parametrize("components", [1, 3])
+@pytest.mark.parametrize("depth", [8, 12, 16])
+@pytest.mark.parametrize("target", [LOSSLESS_BASE, 0.01, 0.3, 2.0, 16.0])
+def test_encode_matches_oracle_on_natural_images(components, depth, target):
+    planes = [
+        natural_image(48, 40, depth, seed=seed).planes[0] for seed in range(components)
+    ]
+    img = PlanarImage.from_planes(planes, depth)
+    config = BaseConfig(target_bpp=target)
+    assert encode_base(img, config) == encode_base_oracle(img, config)
 
 
 @st.composite

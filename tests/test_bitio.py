@@ -61,9 +61,9 @@ def test_reader_roundtrip_fields():
 def test_reader_truncation():
     # nine bits declared, one byte present
     with pytest.raises(BitstreamError):
-        list(decode_bands(b"\xff", [(1, 0, 9)]))
+        list(decode_bands(b"\xff", [((1,), 0, 9, 1)], ["band 0"], 0))
     with pytest.raises(BitstreamError):
-        list(decode_bands(b"", [(1, 0, 1)]))
+        list(decode_bands(b"", [((1,), 0, 1, 1)], ["band 0"], 0))
 
 
 def test_bit_array_roundtrip():
@@ -75,7 +75,7 @@ def test_bit_array_roundtrip():
     unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     assert np.array_equal(unpacked[: bits.size], bits)
     assert np.all(unpacked[bits.size :] == 0)
-    (out,) = decode_bands(payload, [(band.size, k, nbits)])
+    (out,) = decode_bands(payload, [(band.shape, k, nbits, 3)], ["band 0"], 0)
     assert np.array_equal(out, band)
 
 

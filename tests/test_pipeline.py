@@ -15,7 +15,7 @@ from tlxs.pipeline import (
     encode_two_layer_detailed,
     rows_to_csv,
 )
-from tlxs.residual import LosslessCoderId
+from tlxs.residual import LosslessCoderId, encode_extension
 from tlxs.synthetic import color_gradient_image, natural_image
 
 from conftest import images
@@ -287,3 +287,16 @@ class TestBenchSweep:
         )
         line = rows_to_csv([row]).strip().split("\n")[1]
         assert line.split(",")[3] == "inf"
+
+
+@pytest.mark.parametrize("coder", [0, 3, 7, "wavelet"])
+def test_unknown_coder_id_raises_codec_error(coder):
+    img = natural_image(16, 16, 8)
+    calls = (
+        lambda: encode_two_layer(img, None, coder),
+        lambda: encode_extension(img.planes, 8, coder),
+        lambda: bench_sweep(img, [0], [coder]),
+    )
+    for call in calls:
+        with pytest.raises(CodecError, match="unknown lossless coder id"):
+            call()

@@ -220,6 +220,21 @@ class TestResidualAlgebra:
             out = decode(payload, 7, 5, 13)
             assert out.dtype == np.int32 and np.array_equal(out, shifted.samples)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_caller_buffer_stays_writeable_and_unshared(self, dtype):
+        buf = np.zeros((2, 2), dtype=dtype)
+        plane = ResidualPlane.from_samples(buf, 9, True)
+        assert buf.flags.writeable
+        assert not plane.samples.flags.writeable
+        assert not np.shares_memory(plane.samples, buf)
+        buf[0, 0] = 7
+        assert plane.samples[0, 0] == 0
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 1)])
+    def test_samples_that_are_not_2d_rejected(self, shape):
+        with pytest.raises(CodecError, match="2-D"):
+            ResidualPlane.from_samples(np.zeros(shape, dtype=np.int32), 9, True)
+
     def test_range_invariants_enforced(self):
         with pytest.raises(CodecError):
             ResidualPlane.from_samples(np.array([[256]]), 9, False)
@@ -748,6 +763,23 @@ class TestExtensionPayload:
         payload = encode_wavelet_lossless(np.full((8, 8), 65535, dtype=np.int64), 16)
         with pytest.raises(BitstreamError):
             decode_wavelet_lossless(payload, 8, 8, 8)
+
+
+@pytest.mark.parametrize("depth", [8, 17])
+@pytest.mark.parametrize("excess", [-1, 0, 1, 2])
+def test_wavelet_coefficient_bound_edges(depth, excess):
+    # A 1x1 plane's one coded band is L, its coefficient the sample itself.
+    # Mapped 2 * limit + excess is -limit, limit, -(limit + 1), limit + 1: the
+    # first two pass the coefficient check and then fail the sample range.
+    limit = 1 << (depth + 2 * 3 + 1)
+    value = int(rice.zigzag_unmap(np.array([2 * limit + excess]))[0])
+    layout = dwt.band_dimensions(1, 1, 3, 3)
+    empty = [np.zeros(0, dtype=np.int64)] * (len(layout) - 1)
+    records, section = rice.encode_bands([np.array([value])] + empty)
+    payload = b"".join(_WAVELET_RECORD.pack(k, bits) for k, bits in records) + section
+    message = "band L: coefficient" if excess > 0 else "decoded samples"
+    with pytest.raises(BitstreamError, match=f"^{message} out of range$"):
+        decode_wavelet_lossless(payload, 1, 1, depth)
 
 
 @pytest.mark.parametrize("coder", list(LosslessCoderId), ids=lambda c: c.name.lower())

@@ -569,8 +569,16 @@ def test_chosen_k_at_every_start_point(k_mean, n):
     assert chosen_k(arr) == choose_rice_k_oracle(arr)
 
 
+# no value of these bands reaches it
+_BOUND = (1 << 30) - 1
+
+
 def _entries(bands, records):
-    return [(len(band), k, bits) for band, (k, bits) in zip(bands, records)]
+    return [((len(band),), k, bits, _BOUND) for band, (k, bits) in zip(bands, records)]
+
+
+def _names(entries):
+    return [f"band {i}" for i in range(len(entries))]
 
 
 @pytest.mark.parametrize(
@@ -587,7 +595,8 @@ def test_bands_roundtrip(bands):
     records, payload = encode_bands(bands)
     assert [k for k, _ in records] == [chosen_k(b) for b in bands]
     assert len(payload) == sum((bits + 7) // 8 for _, bits in records)
-    out = list(decode_bands(payload, _entries(bands, records)))
+    entries = _entries(bands, records)
+    out = list(decode_bands(payload, entries, _names(entries), 0))
     assert len(out) == len(bands)
     for got, want in zip(out, bands):
         assert np.array_equal(got, want)
@@ -597,8 +606,38 @@ def test_bands_roundtrip(bands):
 def test_bands_roundtrip_property(bands):
     bands = [np.asarray(band, dtype=np.int64) for band in bands]
     records, payload = encode_bands(bands)
-    out = list(decode_bands(payload, _entries(bands, records)))
+    entries = _entries(bands, records)
+    out = list(decode_bands(payload, entries, _names(entries), 0))
     assert all(np.array_equal(a, b) for a, b in zip(out, bands))
+
+
+@pytest.mark.parametrize("bound", [1, 1000, (1 << 30) - 1])
+@pytest.mark.parametrize("excess", [-1, 0, 1, 2])
+def test_bands_bound_edges(bound, excess):
+    # mapped 2 * bound + excess is -bound, bound, -(bound + 1), bound + 1
+    value = int(zigzag_unmap(np.array([2 * bound + excess]))[0])
+    assert abs(value) == bound + (excess > 0)
+    band = np.zeros((3, 5), dtype=np.int64)
+    band[1, 2] = value
+    band[2, 4] = -bound
+    records, payload = encode_bands([band])
+    entries = [((3, 5), k, bits, bound) for k, bits in records]
+    decoded = decode_bands(payload, entries, ["band X"], 0)
+    if excess > 0:
+        with pytest.raises(BitstreamError, match="^band X: coefficient out of range$"):
+            list(decoded)
+    else:
+        (out,) = decoded
+        assert out.dtype == np.int32 and out.shape == (3, 5)
+        assert np.array_equal(out, band)
+
+
+def test_decode_band_returns_int64():
+    values = np.arange(-512, 513, dtype=np.int64)
+    for k in (0, 3, 10):
+        out = decode_band(encode_band(values, k), values.size, k)
+        assert out.dtype == np.int64 and np.array_equal(out, values)
+    assert decode_band(np.zeros(0, dtype=np.uint8), 0, 2).dtype == np.int64
 
 
 def test_bands_packed_msb_first_and_zero_padded():
@@ -612,7 +651,7 @@ def test_bands_packed_msb_first_and_zero_padded():
 def test_bands_set_padding_bit_rejected():
     _, payload = encode_bands([np.array([3])])
     with pytest.raises(BitstreamError):
-        list(decode_bands(bytes([payload[0] | 0x01]), [(1, 2, 4)]))
+        list(decode_bands(bytes([payload[0] | 0x01]), [((1,), 2, 4, _BOUND)], ["band 0"], 0))
 
 
 def test_bands_count_above_bits_rejected():
@@ -620,7 +659,7 @@ def test_bands_count_above_bits_rejected():
     records, payload = encode_bands([np.zeros(4, dtype=np.int64)])
     assert records == [(0, 4)]
     with pytest.raises(BitstreamError, match="cannot hold"):
-        list(decode_bands(payload, [(5, 0, 4)]))
+        list(decode_bands(payload, [((5,), 0, 4, _BOUND)], ["band 0"], 0))
 
 
 @pytest.mark.parametrize("change", ["short", "long"])
@@ -628,8 +667,9 @@ def test_bands_payload_length_must_match(change):
     bands = [np.arange(-20, 20, dtype=np.int64), np.array([1, 2, 3])]
     records, payload = encode_bands(bands)
     payload = payload[:-1] if change == "short" else payload + b"\x00"
+    entries = _entries(bands, records)
     with pytest.raises(BitstreamError):
-        list(decode_bands(payload, _entries(bands, records)))
+        list(decode_bands(payload, entries, _names(entries), 0))
 
 
 @pytest.mark.parametrize(
