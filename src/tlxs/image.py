@@ -16,18 +16,30 @@ INFINITE = math.inf
 _INT32 = np.iinfo(np.int32)
 
 
+def _integral(arr: np.ndarray) -> bool:
+    kind = arr.dtype.kind
+    if kind == "f":
+        return bool(np.isfinite(arr).all() and (np.floor(arr) == arr).all())
+    if kind == "O":  # Python ints beyond int64 stay objects
+        return all(isinstance(v, (int, np.integer)) for v in arr.flat)
+    return kind in "biu"
+
+
 def as_int32(values, low: int = _INT32.min, high: int = _INT32.max) -> np.ndarray:
     """``values`` as an int32 array; :class:`CodecError` unless all lie in ``[low, high]``.
 
     The check comes before the narrowing, since ``astype`` wraps silently
     (``2**32 + 5`` would become 5). An int32 array needs no check against the
-    default bounds and is returned as it is.
+    default bounds and is returned as it is. Non-integral or non-finite
+    floats, objects other than integers, and every other dtype (complex,
+    strings, dates) raise :class:`CodecError` rather than being truncated or
+    parsed.
     """
     arr = np.asarray(values)
     if arr.dtype == np.int32 and (low, high) == (_INT32.min, _INT32.max):
         return arr
-    if arr.dtype.kind not in "biuO":  # Python ints beyond int64 stay objects
-        arr = np.asarray(arr, dtype=np.int64)
+    if not _integral(arr):
+        raise CodecError(f"values must be finite integers; this {arr.dtype} array holds others")
     if arr.size and (int(arr.min()) < low or int(arr.max()) > high):
         raise CodecError(f"values must lie in [{low}, {high}]")
     return arr.astype(np.int32, copy=False)

@@ -134,13 +134,19 @@ class ResidualPlane:
         )
 
 
+def _frozen(fresh: np.ndarray) -> np.ndarray:
+    """``fresh``, an array no caller holds, made read-only so :func:`as_plane` adopts it."""
+    fresh.flags.writeable = False
+    return fresh
+
+
 def compute_residual(original: PlanarImage, base: PlanarImage) -> list[ResidualPlane]:
     """Per-component difference ``original - base``, unshifted."""
     if not original.same_shape(base):
         raise CodecError("residual requires images of identical shape and depth")
     depth = original.bit_depth + 1
     return [
-        ResidualPlane.from_samples(po - pb, depth, shifted=False)
+        ResidualPlane.from_samples(_frozen(po - pb), depth, shifted=False)
         for po, pb in zip(original.planes, base.planes)
     ]
 
@@ -151,7 +157,7 @@ def dc_shift(residual: ResidualPlane) -> ResidualPlane:
         raise CodecError("residual plane is already shifted")
     offset = (1 << (residual.depth - 1)) - 1
     return ResidualPlane.from_samples(
-        residual.samples + offset, residual.depth, shifted=True
+        _frozen(residual.samples + offset), residual.depth, shifted=True
     )
 
 
@@ -161,7 +167,7 @@ def dc_unshift(residual: ResidualPlane) -> ResidualPlane:
         raise CodecError("residual plane is not shifted")
     offset = (1 << (residual.depth - 1)) - 1
     return ResidualPlane.from_samples(
-        residual.samples - offset, residual.depth, shifted=False
+        _frozen(residual.samples - offset), residual.depth, shifted=False
     )
 
 
@@ -381,26 +387,25 @@ def _located(index: int, width: int, bit: int, message: str) -> BitstreamError:
 
 def _unpredict(errors: np.ndarray, depth: int) -> np.ndarray:
     height, width = errors.shape
-    if height > width:  # MED is symmetric in west and north: skew the short side
-        return np.ascontiguousarray(_unpredict(errors.T, depth).T)
     first = (1 << (depth - 1)) - 1
-    out = errors.astype(np.int32)  # errors are below 2**depth in magnitude
+    # errors are below 2**depth in magnitude; C order even for a transposed input
+    out = errors.astype(np.int32, order="C")
     out[0] = np.cumsum(errors[0]) + first
     out[:, 0] = np.cumsum(errors[:, 0]) + first
-    if height == 1:
+    if height == 1 or width == 1:
         return out
-    # MED at (y, x) reads only anti-diagonals x+y-1 and x+y-2, so rebuild one
-    # anti-diagonal at a time on a copy skewed to make each one a row.
-    diag = np.add.outer(np.arange(height), np.arange(width))
-    rows = np.arange(height)[:, None]
-    skew = np.zeros((height + width - 1, height), dtype=np.int32)
-    skew[diag, rows] = out
+    # MED at (y, x) reads only anti-diagonals x+y-1 and x+y-2: rebuild one at a
+    # time, in place. In the flat plane anti-diagonal t, rows lo..hi-1, is a
+    # slice of stride width - 1; one slice of the views that start width + 1,
+    # width, 1 and 0 samples in picks it and its west, north and NW neighbours.
+    flat = out.reshape(-1)
+    step = width - 1
+    here, west, north, nw = flat[width + 1 :], flat[width:], flat[1:], flat
     for t in range(2, height + width - 1):
-        lo, hi = max(1, t - width + 1), min(height, t)
-        skew[t, lo:hi] += _med_array(
-            skew[t - 1, lo:hi], skew[t - 1, lo - 1 : hi - 1], skew[t - 2, lo - 1 : hi - 1]
-        )
-    return skew[diag, rows]
+        lo, hi = max(1, t - step), min(height, t)
+        s = slice(t + lo * step - width - 1, t + (hi - 1) * step - width, step)
+        here[s] += _med_array(west[s], north[s], nw[s])
+    return out
 
 
 def encode_wavelet_lossless(plane: PlaneLike, depth: int) -> bytes:

@@ -14,6 +14,9 @@ from .image import PlanarImage
 
 CORPUS_NAMES = ("constant", "gradient", "checkerboard", "noise", "text", "natural")
 
+_CHECKER_BLOCK = 8  # side of each checkerboard square, in pixels
+_NATURAL_DECAY = 0.65  # amplitude ratio of successive natural_image octaves
+
 
 def _splitmix64(counters: np.ndarray) -> np.ndarray:
     """SplitMix64 of each counter value; full 64-bit avalanche per element."""
@@ -55,12 +58,10 @@ def gradient_image(width: int, height: int, bit_depth: int) -> PlanarImage:
     return _gray(plane, bit_depth)
 
 
-def checkerboard_image(
-    width: int, height: int, bit_depth: int, block: int = 8
-) -> PlanarImage:
+def checkerboard_image(width: int, height: int, bit_depth: int) -> PlanarImage:
     maxv = (1 << bit_depth) - 1
-    x = np.arange(width) // block
-    y = np.arange(height) // block
+    x = np.arange(width) // _CHECKER_BLOCK
+    y = np.arange(height) // _CHECKER_BLOCK
     plane = ((x[np.newaxis, :] + y[:, np.newaxis]) % 2) * maxv
     return _gray(plane.astype(np.int64), bit_depth)
 
@@ -107,9 +108,7 @@ def _bilinear_lattice(
     return rows[y0] * (1 - fy)[:, np.newaxis] + rows[y0 + 1] * fy[:, np.newaxis]
 
 
-def natural_image(
-    width: int, height: int, bit_depth: int, seed: int = 5, decay: float = 0.65
-) -> PlanarImage:
+def natural_image(width: int, height: int, bit_depth: int, seed: int = 5) -> PlanarImage:
     """Fractal multi-octave field standing in for natural photographic content.
 
     Octaves run all the way down to pixel scale so fine-detail energy is
@@ -128,7 +127,7 @@ def natural_image(
             width, height, cells, cells, seed, stream=10 + octave
         )
         total += amplitude
-        amplitude *= decay
+        amplitude *= _NATURAL_DECAY
         cells *= 2
         octave += 1
     if total:  # no octave fits when a side is under 4: the image stays flat

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from tlxs.errors import CodecError
 from tlxs.image import INFINITE, PlanarImage, bits_per_pixel, measure, psnr
+from tlxs.residual import ResidualPlane
 
 from conftest import images
 
@@ -163,3 +164,25 @@ def test_planes_are_read_only_int32(dtype):
     assert img.planes[0].dtype == np.int32
     assert not img.planes[0].flags.writeable
     assert img.planes[0].tolist() == [[1, 1, 1], [1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "plane",
+    [
+        np.array([[1.7, 2.2]]),
+        np.array([[1 + 2j, 3]]),
+        np.array([["12", "3"]]),
+        np.array([[np.nan, 1.0]]),
+        np.array([[np.inf, 1.0]]),
+        np.array([[1.5, 2]], dtype=object),
+        np.array([["12", 3]], dtype=object),
+        np.array([["2020-01-01"]], dtype="datetime64[D]"),
+    ],
+    ids=["fraction", "complex", "string", "nan", "inf", "object-float", "object-str", "date"],
+)
+@pytest.mark.filterwarnings("error")
+def test_non_integer_samples_are_rejected_not_altered(plane):
+    with pytest.raises(CodecError, match="integers"):
+        PlanarImage.from_planes([plane], 8)
+    with pytest.raises(CodecError, match="integers"):
+        ResidualPlane.from_samples(plane, 9, True)
