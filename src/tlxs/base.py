@@ -42,7 +42,7 @@ import numpy as np
 
 from . import dwt, rice
 from .errors import BitstreamError, CodecError
-from .image import PlanarImage, as_int32
+from .image import PlanarImage, as_int32, frozen
 
 MAGIC = b"XSB1"
 _FIXED = struct.Struct(">4sIIBBB")
@@ -336,5 +336,5 @@ def decode_base(payload: bytes) -> PlanarImage:
             bands, info.width, info.height, info.levels_h, info.levels_v
         )
         np.clip(plane, 0, (1 << info.bit_depth) - 1, out=plane)
-        planes.append(plane)
+        planes.append(frozen(plane))
     return PlanarImage.from_planes(planes, info.bit_depth)

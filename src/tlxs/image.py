@@ -45,6 +45,12 @@ def as_int32(values, low: int = _INT32.min, high: int = _INT32.max) -> np.ndarra
     return arr.astype(np.int32, copy=False)
 
 
+def frozen(fresh: np.ndarray) -> np.ndarray:
+    """``fresh``, an array no caller holds, made read-only so :func:`as_plane` adopts it."""
+    fresh.flags.writeable = False
+    return fresh
+
+
 def as_plane(a) -> np.ndarray:
     """``a`` as a read-only C-contiguous 2-D int32 plane.
 
@@ -103,16 +109,16 @@ class PlanarImage:
         cls, planes: Iterable[np.ndarray], bit_depth: int
     ) -> "PlanarImage":
         """Build an image from 2-D arrays, each normalized by :func:`as_plane`."""
-        frozen = tuple(as_plane(p) for p in planes)
-        if not frozen:
+        normalized = tuple(as_plane(p) for p in planes)
+        if not normalized:
             raise CodecError("at least one plane required")
-        height, width = frozen[0].shape
+        height, width = normalized[0].shape
         return cls(
             width=width,
             height=height,
-            components=len(frozen),
+            components=len(normalized),
             bit_depth=bit_depth,
-            planes=frozen,
+            planes=normalized,
         )
 
     @property

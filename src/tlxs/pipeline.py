@@ -18,7 +18,7 @@ from . import container
 from .base import BaseConfig, decode_base, encode_base_detailed
 from .container import ContainerMeta, demux, mux
 from .errors import CodecError, ContainerError
-from .image import INFINITE, PlanarImage, bits_per_pixel, measure
+from .image import INFINITE, PlanarImage, bits_per_pixel, frozen, measure
 from .residual import (
     LosslessCoderId,
     as_coder_id,
@@ -136,9 +136,12 @@ def decode_two_layer(data: bytes) -> DecodeResult:
         ext_payload, meta.width, meta.height, meta.components
     )
     if base_image is not None:
+        # in place in the decoder's fresh planes; values stay below 2**17
         offset = (1 << meta.bit_depth) - 1
-        planes = [b + (s - offset) for s, b in zip(planes, base_image.planes)]
-    image = PlanarImage.from_planes(planes, meta.bit_depth)
+        for s, b in zip(planes, base_image.planes):
+            s -= offset
+            s += b
+    image = PlanarImage.from_planes([frozen(s) for s in planes], meta.bit_depth)
     return DecodeResult(
         image=image,
         lossless=True,

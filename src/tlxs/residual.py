@@ -25,13 +25,15 @@ choice works, but streams are only portable if one is pinned):
   zigzag-mapped prediction errors, recomputed before every sample, with the
   accumulator and count halved once the count reaches 64.
 
-The encoder knows every mapped value up front, so it computes the whole
-parameter schedule at once: the halvings cut the scan into a 64-sample block
-and then 32-sample blocks, the accumulator entering each block follows from
-the block sums by a short recurrence, and within a block the mean is the
-entering accumulator plus a prefix sum over the count. The decoder cannot see
-ahead, but the parameter seldom changes: the top 12 bits of its bit window
-index a per-``k`` table of the complete codes they begin with
+The encoder knows every mapped value up front, so it computes the parameter
+schedule with array passes: the halvings cut the scan into a 64-sample head
+and then 32-sample rows, the accumulator entering each row follows from the
+row sums by a short recurrence, and within a row the mean is the entering
+accumulator plus a prefix sum over the count. It takes 1,024 rows at a time,
+carrying the accumulator from one such block to the next, so its scratch
+does not grow with the plane. The decoder cannot see ahead, but the
+parameter seldom changes: the top 12 bits of its bit window index a
+per-``k`` table of the complete codes they begin with
 (:data:`tlxs.rice.PREFIX_ROWS`). It commits those codes one at a time,
 updating the running mean after each, and ends the run at the first code
 after which ``k`` differs from the table's. A code longer than the prefix is
@@ -60,7 +62,7 @@ import numpy as np
 
 from . import dwt, rice
 from .errors import BitstreamError, CodecError
-from .image import PlanarImage, as_int32, as_plane
+from .image import PlanarImage, as_int32, as_plane, frozen
 
 EXT_MAGIC = b"XSE1"
 _EXT_FIXED = struct.Struct(">4sBB")
@@ -68,6 +70,10 @@ _EXT_LEN = struct.Struct(">I")
 
 _WAVELET_LEVELS = 3
 _WAVELET_RECORD = struct.Struct(">BI")
+
+# samples per block of the encoder's k schedule: 1,024 rows of 32, the block
+# size of rice.pack_codes
+_KS_BLOCK = 1 << 15
 
 
 class LosslessCoderId(IntEnum):
@@ -134,19 +140,13 @@ class ResidualPlane:
         )
 
 
-def _frozen(fresh: np.ndarray) -> np.ndarray:
-    """``fresh``, an array no caller holds, made read-only so :func:`as_plane` adopts it."""
-    fresh.flags.writeable = False
-    return fresh
-
-
 def compute_residual(original: PlanarImage, base: PlanarImage) -> list[ResidualPlane]:
     """Per-component difference ``original - base``, unshifted."""
     if not original.same_shape(base):
         raise CodecError("residual requires images of identical shape and depth")
     depth = original.bit_depth + 1
     return [
-        ResidualPlane.from_samples(_frozen(po - pb), depth, shifted=False)
+        ResidualPlane.from_samples(frozen(po - pb), depth, shifted=False)
         for po, pb in zip(original.planes, base.planes)
     ]
 
@@ -157,7 +157,7 @@ def dc_shift(residual: ResidualPlane) -> ResidualPlane:
         raise CodecError("residual plane is already shifted")
     offset = (1 << (residual.depth - 1)) - 1
     return ResidualPlane.from_samples(
-        _frozen(residual.samples + offset), residual.depth, shifted=True
+        frozen(residual.samples + offset), residual.depth, shifted=True
     )
 
 
@@ -167,7 +167,7 @@ def dc_unshift(residual: ResidualPlane) -> ResidualPlane:
         raise CodecError("residual plane is not shifted")
     offset = (1 << (residual.depth - 1)) - 1
     return ResidualPlane.from_samples(
-        _frozen(residual.samples - offset), residual.depth, shifted=False
+        frozen(residual.samples - offset), residual.depth, shifted=False
     )
 
 
@@ -224,24 +224,42 @@ def _predictions(samples: np.ndarray, depth: int) -> np.ndarray:
     return pred
 
 
+def _k_of_means(num: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The Rice parameter ``MSB(num // count)``, clipped to ``0..MAX_RICE_K``.
+
+    ``count`` is below 64. The float quotient lies in the same power-of-two
+    interval as the true one while ``num < 2**53``, and a larger ``num``
+    clips to ``MAX_RICE_K`` either way.
+    """
+    return np.clip(np.frexp(num / count)[1] - 1, 0, rice.MAX_RICE_K)
+
+
 def _rice_ks(mapped: np.ndarray) -> np.ndarray:
-    """The running-mean Rice parameter of every sample, from all mapped values.
+    """The running-mean Rice parameter of every sample, from all mapped values, as int8.
 
     The count before sample ``i`` is ``i`` below 64 and ``32 + i % 32`` from
     then on, so the accumulator halves after sample 63 and every 32 samples
-    after it. Samples 0-63 form block 0 and each later 32 samples one more
-    block, entered with ``A[j + 1] = (A[j] + sum of block j) >> 1``.
+    after it. Samples 0-63 form the head and each later 32 samples a row,
+    entered with ``A[j + 1] = (A[j] + sum of row j) >> 1``. Rows are taken
+    :data:`_KS_BLOCK` samples at a time, the accumulator carried from one
+    block to the next, so the scratch is one block's whatever the plane's
+    size.
     """
-    index = np.arange(mapped.size)
-    block = np.maximum((index >> 5) - 1, 0)
-    starts = np.concatenate(([0], np.arange(64, mapped.size, 32)))
-    sums = np.add.reduceat(mapped, starts)[:-1].tolist()
-    acc = np.array(list(accumulate(sums, lambda a, s: (a + s) >> 1, initial=0)))
-    before = np.cumsum(mapped) - mapped
-    count = np.where(index < 64, index, 32 + (index & 31))
-    mean = (acc[block] + before - before[starts][block]) // np.maximum(count, 1)
-    # exact: means stay far below 2**53, so frexp's exponent is the MSB + 1
-    return np.clip(np.frexp(mean)[1] - 1, 0, rice.MAX_RICE_K).astype(np.int64)
+    ks = np.empty(mapped.size, dtype=np.int8)
+    head = mapped[:64]
+    ks[:64] = _k_of_means(np.cumsum(head) - head, np.maximum(np.arange(head.size), 1))
+    enter = int(head.sum()) >> 1
+    counts = np.arange(32, 64)
+    for start in range(64, mapped.size, _KS_BLOCK):
+        chunk = mapped[start : start + _KS_BLOCK]
+        rows = np.pad(chunk, (0, -chunk.size % 32)).reshape(-1, 32)
+        sums = rows.sum(axis=1).tolist()
+        enters = list(accumulate(sums, lambda a, s: (a + s) >> 1, initial=enter))
+        enter = enters.pop()
+        num = np.cumsum(rows, axis=1) - rows
+        num += np.array(enters, dtype=np.int64)[:, None]
+        ks[start : start + chunk.size] = _k_of_means(num, counts).ravel()[: chunk.size]
+    return ks
 
 
 def encode_predictive(plane: PlaneLike, depth: int) -> bytes:

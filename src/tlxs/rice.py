@@ -307,14 +307,17 @@ def byte_windows(data: bytes) -> memoryview:
     zero. The 64 bits from bit position ``pos`` (MSB first) are
     ``(win[pos >> 3] << (pos & 7)) & (2**64 - 1)``, of which at least the top
     57 are stream bits or zero padding. The windows stay in one uint64 array,
-    8 bytes each, and indexing the view gives Python ints.
+    8 bytes each, and indexing the view gives Python ints. Windows
+    ``i, i + 8, ...`` are consecutive big-endian words of the zero-padded
+    bytes from offset ``i``, so each of the eight strided slices is filled
+    from a view of them: 9 bytes per input byte in all, with the padded copy.
     """
     n = len(data)
-    buf = np.zeros(n + 8, dtype=np.uint64)
-    buf[:n] = np.frombuffer(data, dtype=np.uint8)
-    win = np.zeros(n + 1, dtype=np.uint64)
+    padded = bytes(data) + bytes(8)  # the window at n reads bytes n..n+7
+    win = np.empty(n + 1, dtype=np.uint64)
     for i in range(8):
-        win |= buf[i : i + n + 1] << np.uint64(56 - 8 * i)
+        count = len(range(i, n + 1, 8))
+        win[i::8] = np.frombuffer(padded, dtype=">u8", count=count, offset=i)
     return memoryview(win)
 
 

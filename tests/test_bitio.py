@@ -87,3 +87,20 @@ def test_field_sequences_roundtrip(fields):
     for value, width in kept:
         assert _read_field(windows, pos, width) == value
         pos += width
+
+
+def _window_oracle(data, pos):
+    return int.from_bytes(data[pos : pos + 8].ljust(8, b"\0"), "big")
+
+
+@pytest.mark.parametrize("size", range(41))
+def test_byte_windows_match_big_endian_reads(size):
+    data = bytes(range(251, 251 - size, -1))
+    windows = byte_windows(data)
+    assert windows.tolist() == [_window_oracle(data, p) for p in range(size + 1)]
+
+
+def test_byte_windows_of_a_long_payload():
+    data = np.random.default_rng(8).integers(0, 256, 100_000, dtype=np.uint8).tobytes()
+    windows = byte_windows(data)
+    assert windows.tolist() == [_window_oracle(data, p) for p in range(len(data) + 1)]

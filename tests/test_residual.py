@@ -395,6 +395,19 @@ class TestPredictiveCoder:
         mapped = np.asarray(values, dtype=np.int64)
         assert np.array_equal(_rice_ks(mapped), oracle_ks(values))
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize(
+        "size", [1, 63, 64, 65, 95, 96, 97, 32831, 32832, 32833, 65601, 100000]
+    )
+    def test_rice_schedule_matches_oracle_across_blocks(self, size, dtype):
+        # the 64-sample head, then blocks of 32,768 ending at 32,832, 65,600, ...;
+        # magnitudes from 0 to 2**30 move k over its whole range
+        rng = np.random.default_rng(size)
+        mapped = (rng.integers(0, 2**30 + 1, size) >> rng.integers(0, 31, size)).astype(dtype)
+        ks = _rice_ks(mapped)
+        assert ks.dtype == np.int8
+        assert np.array_equal(ks, oracle_ks(mapped.tolist()))
+
     @pytest.mark.parametrize(
         "shape", [(1, 1), (1, 9), (9, 1), (2, 2), (3, 11), (10, 4), (11, 2), (2, 11), (12, 3)]
     )
