@@ -17,10 +17,7 @@ from .pipeline import bench_sweep, decode_two_layer, encode_two_layer_detailed, 
 from .pnm import load_pnm, store_pnm
 from .residual import LosslessCoderId, parse_extension_header
 
-_CODER_BY_NAME = {
-    "predictive": LosslessCoderId.PREDICTIVE,
-    "wavelet": LosslessCoderId.WAVELET,
-}
+_CODER_BY_NAME = {c.name.lower(): c for c in LosslessCoderId}
 
 
 def _build_parser() -> argparse.ArgumentParser:

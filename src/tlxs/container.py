@@ -20,7 +20,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from .base import decode_base
+from .base import BaseStreamInfo, decode_base, parse_base_header
 from .errors import (
     BadMagicError,
     ChecksumError,
@@ -142,8 +142,8 @@ def demux(data: bytes) -> tuple[bytes, bytes, ContainerMeta]:
     return base, ext, meta
 
 
-def check_base_matches(meta: ContainerMeta, image: PlanarImage) -> None:
-    """Reject containers whose base payload disagrees with the outer header."""
+def check_base_matches(meta: ContainerMeta, image: PlanarImage | BaseStreamInfo) -> None:
+    """Reject a base payload, decoded or its header, that disagrees with the outer header."""
     if (
         image.width != meta.width
         or image.height != meta.height
@@ -158,6 +158,5 @@ def decode_base_only(data: bytes) -> PlanarImage:
     base, _ext, meta = demux(data)
     if not base:
         raise MissingLayerError("file has no base layer")
-    image = decode_base(base)
-    check_base_matches(meta, image)
-    return image
+    check_base_matches(meta, parse_base_header(base))
+    return decode_base(base)

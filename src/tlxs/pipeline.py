@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import container
-from .base import BaseConfig, decode_base, encode_base_detailed
+from .base import BaseConfig, decode_base, encode_base_detailed, parse_base_header
 from .container import ContainerMeta, demux, mux
 from .errors import CodecError, ContainerError
 from .image import INFINITE, PlanarImage, bits_per_pixel, frozen, measure
@@ -124,8 +124,8 @@ def decode_two_layer(data: bytes) -> DecodeResult:
 
     base_image: PlanarImage | None = None
     if base_payload:
+        container.check_base_matches(meta, parse_base_header(base_payload))
         base_image = decode_base(base_payload)
-        container.check_base_matches(meta, base_image)
 
     if not ext_payload:
         return DecodeResult(

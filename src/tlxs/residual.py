@@ -31,13 +31,12 @@ and then 32-sample rows, the accumulator entering each row follows from the
 row sums by a short recurrence, and within a row the mean is the entering
 accumulator plus a prefix sum over the count. It takes 1,024 rows at a time,
 carrying the accumulator from one such block to the next, so its scratch
-does not grow with the plane. The decoder cannot see ahead, but the
-parameter seldom changes: the top 12 bits of its bit window index a
-per-``k`` table of the complete codes they begin with
-(:data:`tlxs.rice.PREFIX_ROWS`). It commits those codes one at a time,
-updating the running mean after each, and ends the run at the first code
-after which ``k`` differs from the table's. A code longer than the prefix is
-parsed on its own.
+does not grow with the plane. The decoder cannot see ahead; it parses codes
+through the prefix table that :mod:`tlxs.rice` describes, for as long as the
+running-mean ``k`` stays the table's. A failed decode is located from the
+mapped values decoded so far, whose ``k`` schedule gives every code's length:
+the error names the first code that ends past the data, or the first sample
+out of range, by row, column and starting bit.
 
 Extension payload layout (big-endian)::
 
@@ -56,7 +55,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import accumulate
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,20 +185,8 @@ def _med_array(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(a + b - c, np.minimum(a, b)), np.maximum(a, b))
 
 
-PlaneLike = Union[ResidualPlane, np.ndarray]
-
-
-def _plane_samples(plane: PlaneLike, depth: int) -> np.ndarray:
-    if isinstance(plane, ResidualPlane):
-        if not plane.shifted:
-            raise CodecError("lossless coders expect the shifted representation")
-        if plane.depth != depth:
-            raise CodecError(
-                f"plane depth {plane.depth} does not match coder depth {depth}"
-            )
-        samples = plane.samples
-    else:
-        samples = as_int32(plane)
+def _plane_samples(plane: np.ndarray, depth: int) -> np.ndarray:
+    samples = as_int32(plane)
     if samples.ndim != 2 or samples.size == 0:
         raise CodecError("coder input must be a non-empty 2-D plane")
     if not 2 <= depth <= 17:
@@ -262,7 +249,7 @@ def _rice_ks(mapped: np.ndarray) -> np.ndarray:
     return ks
 
 
-def encode_predictive(plane: PlaneLike, depth: int) -> bytes:
+def encode_predictive(plane: np.ndarray, depth: int) -> bytes:
     """MED-predicted, adaptively Rice-coded raster scan of one plane."""
     samples = _plane_samples(plane, depth)
     errors = samples - _predictions(samples, depth)
@@ -326,7 +313,7 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
                     break
             pos += end
             if pos > nbits:
-                raise _truncated_in_group(codes, end, i, pos - end, nbits, width)
+                raise _failure(mapped[:i], width, nbits, "predictive stream truncated")
             continue
         # Codes longer than the prefix, one at a time: from k = PREFIX_BITS
         # on, where every code is, without looking at the table.
@@ -342,11 +329,10 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
             used = q + 1 + k
             m += (q << k) | ((x >> (64 - used)) & ((1 << k) - 1))
             pos += used
-            if pos > nbits:
-                start = pos - (m >> k) - 1 - k
-                raise _located(i, width, start, "predictive stream truncated")
             mapped[i] = m
             i += 1
+            if pos > nbits:
+                raise _failure(mapped[:i], width, nbits, "predictive stream truncated")
             acc += m
             n += 1
             if n == 64:
@@ -376,29 +362,24 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
     high = (1 << depth) - 1
     if int(samples.min()) < 0 or int(samples.max()) > high:
         index = int(np.argmax((samples < 0) | (samples > high)))
-        ks = _rice_ks(mapped)
-        lengths = (mapped >> ks) + ks + 1
-        bit = int(lengths[:index].sum())
-        raise _located(index, width, bit, "decoded samples out of range")
+        raise _failure(mapped[: index + 1], width, nbits, "decoded samples out of range")
     return samples
 
 
-def _truncated_in_group(
-    codes: tuple[tuple[int, int], ...], last: int, i: int, start: int, nbits: int, width: int
+def _failure(
+    mapped: list[int] | np.ndarray, width: int, nbits: int, message: str
 ) -> BitstreamError:
-    """Locate the first code of a group from bit ``start`` that ends past ``nbits``.
+    """Name the sample and starting bit where a predictive decode failed.
 
-    The group committed its codes up to the one ending at ``last``, the last
-    of them being sample ``i - 1``.
+    ``mapped`` holds the values decoded up to the failure, each code's length
+    being ``(m >> k) + k + 1`` at its running-mean ``k``. The failure is the
+    first code that ends past ``nbits``, else the last one.
     """
-    ends = [end for _, end in codes]
-    first = i - 1 - ends.index(last)
-    j = next(j for j, end in enumerate(ends) if start + end > nbits)
-    bit = start + ends[j - 1] if j else start
-    return _located(first + j, width, bit, "predictive stream truncated")
-
-
-def _located(index: int, width: int, bit: int, message: str) -> BitstreamError:
+    mapped = np.asarray(mapped, dtype=np.int64)
+    ks = _rice_ks(mapped)
+    ends = np.cumsum((mapped >> ks) + ks + 1)
+    index = min(int(np.searchsorted(ends, nbits, side="right")), mapped.size - 1)
+    bit = int(ends[index - 1]) if index else 0
     row, col = divmod(index, width)
     return BitstreamError(f"sample ({row}, {col}) at bit {bit}: {message}")
 
@@ -426,7 +407,7 @@ def _unpredict(errors: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def encode_wavelet_lossless(plane: PlaneLike, depth: int) -> bytes:
+def encode_wavelet_lossless(plane: np.ndarray, depth: int) -> bytes:
     """Reversible 5/3 transform with per-band Golomb-Rice coding, step 1."""
     samples = _plane_samples(plane, depth)
     bands = dwt.decompose(samples, _WAVELET_LEVELS, _WAVELET_LEVELS)

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -138,6 +141,28 @@ def test_dims_mismatch_between_headers_rejected():
     blob = mux(payload, b"", wrong)
     with pytest.raises(ContainerError):
         decode_base_only(blob)
+
+
+def _large_base_in_small_container():
+    # 119 bytes: a 64x64 container around a base payload that declares
+    # 2000x2000, one 8-bit component at 5/2 levels, and ten zero-length bands
+    base = struct.pack(">4sIIBBB", b"XSB1", 2000, 2000, 1, 8, 0x52)
+    base += struct.pack(">HBI", 1, 0, 0) * 10
+    return mux(base, b"", ContainerMeta(64, 64, 1, 8, CODER_NONE))
+
+
+@pytest.mark.parametrize("decode", [decode_base_only, decode_two_layer])
+def test_base_header_mismatch_rejected_before_decoding(decode):
+    blob = _large_base_in_small_container()
+    assert len(blob) == 119
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContainerError, match="disagrees with container header"):
+            decode(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_unsupported_version_with_valid_crc_rejected():

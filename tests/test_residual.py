@@ -86,7 +86,13 @@ def oracle_ks(mapped):
 
 
 def decode_predictive_oracle(data, width, height, depth):
-    """The predictive decoder before prefix tables: one code per loop pass."""
+    """The predictive decoder before prefix tables: one code per loop pass.
+
+    It raises the decoder's messages, each failure located from the code
+    being read: its sample and the bit it starts at. Samples are rebuilt one
+    at a time in Python ints, so the first out-of-range one is found without
+    narrowing any error.
+    """
     if width < 1 or height < 1:
         raise CodecError("empty plane dimensions")
     count = width * height
@@ -97,8 +103,10 @@ def decode_predictive_oracle(data, width, height, depth):
     m64 = (1 << 64) - 1
     max_k = rice.MAX_RICE_K
     mapped = [0] * count
+    starts = [0] * count
     acc = n = pos = 0
     for i in range(count):
+        starts[i] = pos
         k = (acc // (n or 1)).bit_length() - 1
         if k < 0:
             k = 0
@@ -116,7 +124,8 @@ def decode_predictive_oracle(data, width, height, depth):
         m += (q << k) | ((x >> (64 - used)) & ((1 << k) - 1))
         pos += used
         if pos > nbits:
-            raise BitstreamError("predictive stream truncated")
+            where = f"sample ({i // width}, {i % width}) at bit {starts[i]}"
+            raise BitstreamError(f"{where}: predictive stream truncated")
         mapped[i] = m
         acc += m
         n += 1
@@ -125,23 +134,28 @@ def decode_predictive_oracle(data, width, height, depth):
             n = 32
 
     if nbits - pos >= 8 or data[-1] & ((1 << (nbits - pos)) - 1):
-        raise BitstreamError("trailing data after predictive stream")
-    errors = rice.zigzag_unmap(np.asarray(mapped, dtype=np.int64)).reshape(
-        height, width
-    )
-    samples = _unpredict(errors, depth)
-    if int(samples.min()) < 0 or int(samples.max()) > (1 << depth) - 1:
-        raise BitstreamError("decoded samples out of range")
-    return samples
+        raise BitstreamError(f"at bit {pos}: trailing data after predictive stream")
+    errors = rice.zigzag_unmap(np.asarray(mapped, dtype=np.int64)).tolist()
+    rows = [[0] * width for _ in range(height)]
+    for i, error in enumerate(errors):
+        y, x = divmod(i, width)
+        sample = scalar_prediction(rows, y, x, depth) + error
+        if not 0 <= sample < 1 << depth:
+            raise BitstreamError(
+                f"sample ({y}, {x}) at bit {starts[i]}: decoded samples out of range"
+            )
+        rows[y][x] = sample
+    return np.array(rows)
 
 
 def assert_decodes_like_oracle(data, width, height, depth):
-    """Both decoders return the same samples, or both raise BitstreamError."""
+    """Both decoders return the same samples, or both raise the same BitstreamError."""
     try:
         expected = decode_predictive_oracle(data, width, height, depth)
-    except BitstreamError:
-        with pytest.raises(BitstreamError):
+    except BitstreamError as err:
+        with pytest.raises(BitstreamError) as raised:
             decode_predictive(data, width, height, depth)
+        assert str(raised.value) == str(err)
         return None
     out = decode_predictive(data, width, height, depth)
     assert np.array_equal(out, expected)
@@ -215,7 +229,8 @@ class TestResidualAlgebra:
         shifted = dc_shift(residual)
         for plane in (residual, shifted, dc_unshift(shifted)):
             assert plane.samples.dtype == np.int32
-        payloads = (encode_predictive(shifted, 13), encode_wavelet_lossless(shifted, 13))
+        samples = shifted.samples
+        payloads = (encode_predictive(samples, 13), encode_wavelet_lossless(samples, 13))
         for payload, decode in zip(payloads, (decode_predictive, decode_wavelet_lossless)):
             out = decode(payload, 7, 5, 13)
             assert out.dtype == np.int32 and np.array_equal(out, shifted.samples)
@@ -335,7 +350,7 @@ class TestPredictiveCoder:
 
     def test_accepts_shifted_residual(self):
         r = ResidualPlane.from_samples(np.full((2, 2), 255, dtype=np.int64), 9, True)
-        payload = encode_predictive(r, 9)
+        payload = encode_predictive(r.samples, 9)
         assert np.array_equal(
             decode_predictive(payload, 2, 2, 9), r.samples
         )
