@@ -16,12 +16,14 @@ Payload layout (big-endian)::
     per band: step u16, rice k u8, coded length in bits u32 |
     band section of the bands with a nonzero coded length (see :mod:`tlxs.rice`)
 
-Bands are ordered component-major, canonical band order within each
-component (see :mod:`tlxs.dwt`). A declared coded length of 0 means every
-quantized index in that band is zero and the band is absent from the band
-section; without this, coarse streams could never drop below one bit per
-coefficient and sub-bpp rate targets would be unreachable. The payload is a
-pure function of ``(image, config)``.
+:mod:`tlxs.rice` reads the record table for this layer and the wavelet
+extension coder alike; only the step field is the base's own. Bands are
+ordered component-major, canonical band order within each component (see
+:mod:`tlxs.dwt`). A declared coded length of 0 means every quantized index
+in that band is zero and the band is absent from the band section; without
+this, coarse streams could never drop below one bit per coefficient and
+sub-bpp rate targets would be unreachable. The payload is a pure function of
+``(image, config)``.
 
 Coefficients and quantizer indices are ``int32`` (see :mod:`tlxs.dwt` for
 the bounds). The encoder splits every band into ``(|c|, sign, peak)`` once;
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -80,21 +81,6 @@ class BaseConfig:
             raise CodecError("target_bpp must be positive or LOSSLESS_BASE")
 
 
-class BandRecord(NamedTuple):
-    """One coded band as described in the payload header."""
-
-    name: str
-    component: int
-    width: int
-    height: int
-    step: int
-    k: int
-    bits: int
-
-
-BandLayout = tuple[BandRecord, ...]
-
-
 @dataclass(frozen=True)
 class BaseStreamInfo:
     """Everything the payload header declares, without touching sample data."""
@@ -105,7 +91,7 @@ class BaseStreamInfo:
     bit_depth: int
     levels_h: int
     levels_v: int
-    records: BandLayout
+    records: tuple[rice.BandRecord, ...]
     data_offset: int
 
 
@@ -270,27 +256,9 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
     if not 1 <= levels_h <= 6 or levels_v > min(2, levels_h):
         raise BitstreamError(f"bad decomposition levels {levels_h}/{levels_v}")
     layout = dwt.band_dimensions(width, height, levels_h, levels_v)
-    n_records = components * len(layout)
-    data_offset = _FIXED.size + _RECORD.size * n_records
-    if len(payload) < data_offset:
-        raise BitstreamError("base payload truncated inside band records")
-    records = []
-    declared = 0
-    pos = _FIXED.size
-    for comp in range(components):
-        for name, bw, bh in layout:
-            step, k, bits = _RECORD.unpack_from(payload, pos)
-            pos += _RECORD.size
-            if step < 1:
-                raise BitstreamError(f"band {name} declares step 0")
-            if k > rice.MAX_RICE_K:
-                raise BitstreamError(f"band {name} declares rice k {k}")
-            records.append(BandRecord(name, comp, bw, bh, step, k, bits))
-            declared += (bits + 7) // 8
-    if data_offset + declared != len(payload):
-        raise BitstreamError(
-            "declared band sizes do not match base payload length"
-        )
+    records = rice.read_records(
+        payload, _FIXED.size, layout, range(components), _RECORD, "base payload: "
+    )
     return BaseStreamInfo(
         width=width,
         height=height,
@@ -298,8 +266,8 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
         bit_depth=bit_depth,
         levels_h=levels_h,
         levels_v=levels_v,
-        records=tuple(records),
-        data_offset=data_offset,
+        records=records,
+        data_offset=_FIXED.size + _RECORD.size * len(records),
     )
 
 
@@ -311,30 +279,22 @@ def decode_base(payload: bytes) -> PlanarImage:
     limit = (1 << (info.bit_depth + info.levels_h + info.levels_v + 1)) + MAX_STEP
     coded = rice.decode_bands(
         payload[info.data_offset :],
-        [
-            ((r.height, r.width), r.k, r.bits, (limit - r.step // 2) // r.step)
-            for r in records
-        ],
+        [r.entry(limit) for r in records],
         [f"base component {r.component}: band {r.name}" for r in records],
         info.data_offset,
     )
-    bands_per_comp = len(info.records) // info.components
     planes = []
     for comp in range(info.components):
-        bands = []
-        for record in info.records[
-            comp * bands_per_comp : (comp + 1) * bands_per_comp
-        ]:
-            shape = (record.height, record.width)
-            if record.bits == 0:
-                # zero-length convention: every index, so every coefficient,
-                # is zero; a read-only view stands in for the band
-                bands.append(np.broadcast_to(np.int32(0), shape))
-                continue
-            bands.append(_dequantize(next(coded), record.step))
-        plane = dwt.recompose(
-            bands, info.width, info.height, info.levels_h, info.levels_v
-        )
+        # zero-length convention: every index, so every coefficient, is zero;
+        # a read-only view stands in for the band
+        bands = [
+            _dequantize(next(coded), r.step)
+            if r.bits
+            else np.broadcast_to(np.int32(0), (r.height, r.width))
+            for r in info.records
+            if r.component == comp
+        ]
+        plane = dwt.recompose(bands, info.width, info.height, info.levels_h, info.levels_v)
         np.clip(plane, 0, (1 << info.bit_depth) - 1, out=plane)
         planes.append(frozen(plane))
     return PlanarImage.from_planes(planes, info.bit_depth)

@@ -43,10 +43,10 @@ Extension payload layout (big-endian)::
     "XSE1" | coder u8 | depth u8 | per component: byte length u32 + payload
 
 A predictive component payload is one Rice-coded raster scan, zero-padded to
-a byte. A wavelet component payload is, per band in canonical order (see
-:mod:`tlxs.dwt`), rice k u8 and coded length in bits u32, followed by the
-band section of every band (see :mod:`tlxs.rice`). :func:`parse_extension_header`
-reads all of this layout without decoding samples.
+a byte. A wavelet component payload is a record table and band section as in
+the base layer (see :mod:`tlxs.rice`), but its records, per band in canonical
+order (see :mod:`tlxs.dwt`), are rice k u8 and coded length in bits u32 at
+step 1. :func:`parse_extension_header` reads all of this without decoding.
 """
 
 from __future__ import annotations
@@ -415,50 +415,29 @@ def encode_wavelet_lossless(plane: np.ndarray, depth: int) -> bytes:
     return b"".join(_WAVELET_RECORD.pack(k, bits) for k, bits in records) + section
 
 
-class WaveletBandRecord(NamedTuple):
-    """One band of a wavelet component payload as its record declares it."""
-
-    name: str
-    width: int
-    height: int
-    k: int
-    bits: int
-
-
-def _wavelet_bands(data: bytes | memoryview, width: int, height: int) -> tuple[WaveletBandRecord, ...]:
-    """Read the band records at the start of a wavelet component payload."""
-    layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
-    if len(data) < _WAVELET_RECORD.size * len(layout):
-        raise BitstreamError("wavelet payload truncated in band records")
-    bands = []
-    for i, (name, bw, bh) in enumerate(layout):
-        k, bits = _WAVELET_RECORD.unpack_from(data, i * _WAVELET_RECORD.size)
-        if k > rice.MAX_RICE_K:
-            raise BitstreamError(f"band declares rice k {k}")
-        bands.append(WaveletBandRecord(name, bw, bh, k, bits))
-    return tuple(bands)
-
-
 def decode_wavelet_lossless(
     data: bytes, width: int, height: int, depth: int
 ) -> np.ndarray:
     """Exact inverse of :func:`encode_wavelet_lossless`."""
     if width < 1 or height < 1:
         raise CodecError("empty plane dimensions")
-    records = _wavelet_bands(data, width, height)
+    layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
+    records = rice.read_records(data, 0, layout, (0,), _WAVELET_RECORD, "")
     header_size = _WAVELET_RECORD.size * len(records)
     limit = 1 << (depth + 2 * _WAVELET_LEVELS + 1)
     bands = list(
         rice.decode_bands(
             data[header_size:],
-            [((r.height, r.width), r.k, r.bits, limit) for r in records],
+            [r.entry(limit) for r in records],
             [f"band {r.name}" for r in records],
             header_size,
         )
     )
     samples = dwt.recompose(bands, width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
-    if int(samples.min()) < 0 or int(samples.max()) > (1 << depth) - 1:
-        raise BitstreamError("decoded samples out of range")
+    if int(samples.min()) < 0 or int(samples.max()) >> depth:
+        # the first in raster order; no bit locates it, as the inverse mixes bands
+        row, col = np.argwhere(samples >> depth)[0]
+        raise BitstreamError(f"sample ({row}, {col}): decoded samples out of range")
     return samples
 
 
@@ -491,7 +470,7 @@ class ExtensionComponent(NamedTuple):
 
     offset: int
     length: int
-    bands: tuple[WaveletBandRecord, ...]  # empty for the predictive coder
+    bands: tuple[rice.BandRecord, ...]  # empty for the predictive coder
 
 
 @dataclass(frozen=True)
@@ -518,6 +497,7 @@ def parse_extension_header(
         raise BitstreamError(f"unknown lossless coder id {coder_value}") from None
     if not 2 <= depth <= 17:
         raise BitstreamError(f"bad extension depth {depth}")
+    layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     parts = []
     pos = _EXT_FIXED.size
     for comp in range(components):
@@ -527,13 +507,11 @@ def parse_extension_header(
         pos += _EXT_LEN.size
         if pos + length > len(data):
             raise BitstreamError("extension component payload truncated")
-        bands: tuple[WaveletBandRecord, ...] = ()
+        bands: tuple[rice.BandRecord, ...] = ()
         if coder == LosslessCoderId.WAVELET:
-            try:
-                payload = memoryview(data)[pos : pos + length]
-                bands = _wavelet_bands(payload, width, height)
-            except BitstreamError as err:
-                raise BitstreamError(f"extension component {comp}: {err}") from err
+            payload = memoryview(data)[pos : pos + length]
+            where = f"extension component {comp}: "
+            bands = rice.read_records(payload, 0, layout, (comp,), _WAVELET_RECORD, where)
         parts.append(ExtensionComponent(pos, length, bands))
         pos += length
     if pos != len(data):

@@ -31,8 +31,9 @@ their ``k`` holds; a code longer than the prefix is parsed on its own.
 Band section: the base layer and the wavelet extension coder both store a
 sequence of bands, each coded at its own cost-minimizing ``k`` (found by a
 local search on the convex coded length, see :func:`choose_rice_k`) and
-zero-padded to a byte boundary, MSB first, with no separators. The caller
-keeps each band's ``k`` and coded length in bits in its own record table;
+zero-padded to a byte boundary, MSB first, with no separators. A record
+table in front of it, which :func:`read_records` reads for both layers,
+declares each band's ``k``, coded length in bits and, in the base, step.
 :func:`encode_bands` and :func:`decode_bands` own the section itself. The
 reader checks every value against the band's declared bound while it is still
 int64, then yields the band as int32, so no value is ever wrapped.
@@ -41,7 +42,8 @@ int64, then yields the band as int32, so no value is ever wrapped.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+import struct
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -298,6 +300,56 @@ def decode_bands(
             raise BitstreamError(f"{name}: coefficient out of range")
         pos += nbytes
         yield zigzag_unmap(mapped.astype(np.int32)).reshape(shape)
+
+
+class BandRecord(NamedTuple):
+    """One coded band as its layer's record table declares it."""
+
+    name: str
+    component: int
+    width: int
+    height: int
+    step: int
+    k: int
+    bits: int
+
+    def entry(self, limit: int) -> tuple[tuple[int, int], int, int, int]:
+        """Its :func:`decode_bands` entry, bound to ``|i| * step + step // 2 <= limit``."""
+        bound = (limit - self.step // 2) // self.step
+        return (self.height, self.width), self.k, self.bits, bound
+
+
+def read_records(
+    data: bytes | memoryview,
+    pos: int,
+    layout: Sequence[tuple[str, int, int]],
+    components: Sequence[int],
+    record: struct.Struct,
+    where: str,
+) -> tuple[BandRecord, ...]:
+    """Read the table at ``pos``: per component, one ``record`` per band of ``layout``.
+
+    A record unpacks to ``(step, k, bits)``, or to ``(k, bits)`` at step 1.
+    The bands, each padded to a byte, must end exactly where ``data`` ends.
+    Errors begin with ``where``, which names the payload.
+    """
+    end = pos + record.size * len(components) * len(layout)
+    if len(data) < end:
+        raise BitstreamError(f"{where}truncated inside band records")
+    records = []
+    for comp in components:
+        for name, width, height in layout:
+            step, k, bits = (1, *record.unpack_from(data, pos))[-3:]
+            pos += record.size
+            if step < 1:
+                raise BitstreamError(f"{where}band {name} declares step 0")
+            if k > MAX_RICE_K:
+                raise BitstreamError(f"{where}band {name} declares rice k {k}")
+            records.append(BandRecord(name, comp, width, height, step, k, bits))
+            end += (bits + 7) // 8
+    if end != len(data):
+        raise BitstreamError(f"{where}declared band sizes do not match payload length")
+    return tuple(records)
 
 
 def byte_windows(data: bytes) -> memoryview:

@@ -46,6 +46,25 @@ def reseal(blob, pos, value):
     return bytes(header) + blob[HEADER_SIZE:]
 
 
+def overlong_band_container():
+    """A 16x16 two-layer wavelet container whose extension's first band record
+    declares 8 more bits than the band section holds."""
+    from tlxs.base import BaseConfig
+    from tlxs.container import demux, mux
+    from tlxs.pipeline import encode_two_layer
+    from tlxs.residual import _EXT_FIXED, _EXT_LEN, LosslessCoderId
+    from tlxs.synthetic import natural_image
+
+    image = natural_image(16, 16, 8)
+    blob = encode_two_layer(image, BaseConfig(target_bpp=2.0), LosslessCoderId.WAVELET)
+    base, ext, meta = demux(blob)
+    ext = bytearray(ext)
+    pos = _EXT_FIXED.size + _EXT_LEN.size + 1  # component 0's first record, after k u8
+    bits = int.from_bytes(ext[pos : pos + 4], "big")
+    ext[pos : pos + 4] = (bits + 8).to_bytes(4, "big")
+    return mux(base, bytes(ext), meta)
+
+
 @pytest.fixture(scope="session")
 def natural_256():
     from tlxs.synthetic import natural_image

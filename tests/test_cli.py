@@ -6,7 +6,7 @@ from tlxs.pnm import load_pnm, store_pnm
 from tlxs.residual import parse_extension_header
 from tlxs.synthetic import natural_image
 
-from conftest import reseal
+from conftest import overlong_band_container, reseal
 
 
 @pytest.fixture()
@@ -159,6 +159,15 @@ def test_inspect_unknown_coder_id(pgm, tmp_path, capsys):
     assert "coder: unknown (7)" in capsys.readouterr().out
     assert main(["decode", "--input", str(out), "--output", str(tmp_path / "r.pgm")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_band_sizes_that_overrun_the_extension_exit_1(tmp_path, capsys):
+    path = tmp_path / "overlong.tlxs"
+    path.write_bytes(overlong_band_container())
+    assert main(["inspect", str(path)]) == 1
+    assert "declared band sizes" in capsys.readouterr().err
+    assert main(["decode", "--input", str(path), "--output", str(tmp_path / "r.pgm")]) == 1
+    assert "declared band sizes" in capsys.readouterr().err
 
 
 def test_bench_writes_expected_rows(pgm, tmp_path, capsys):

@@ -18,7 +18,7 @@ from tlxs.pipeline import (
 from tlxs.residual import LosslessCoderId, encode_extension
 from tlxs.synthetic import color_gradient_image, natural_image
 
-from conftest import images
+from conftest import images, overlong_band_container
 
 CONFIG_CASES = [
     None,
@@ -158,6 +158,27 @@ def test_mismatched_extension_rejected_before_any_layer_decodes(mismatch, with_b
             decode_base(bytes(base))
     blob = mux(bytes(base), ext, ContainerMeta(16, 16, 1, 8, int(coder)))
     with pytest.raises(ContainerError):
+        decode_two_layer(blob)
+
+
+def test_wavelet_band_sizes_refused_before_the_base_decodes(monkeypatch):
+    # the extension's first band record declares one byte more than its
+    # component holds; the extension header alone refuses the file
+    from tlxs import pipeline
+    from tlxs.container import demux
+    from tlxs.errors import BitstreamError
+    from tlxs.residual import parse_extension_header
+
+    blob = overlong_band_container()
+    _, ext, meta = demux(blob)
+    with pytest.raises(BitstreamError, match="^extension component 0: declared band sizes"):
+        parse_extension_header(ext, meta.width, meta.height, meta.components)
+
+    def no_base_decode(payload):
+        raise AssertionError("the base layer was decoded")
+
+    monkeypatch.setattr(pipeline, "decode_base", no_base_decode)
+    with pytest.raises(BitstreamError, match="declared band sizes"):
         decode_two_layer(blob)
 
 

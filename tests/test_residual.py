@@ -826,9 +826,19 @@ def test_wavelet_coefficient_bound_edges(depth, excess):
     empty = [np.zeros(0, dtype=np.int64)] * (len(layout) - 1)
     records, section = rice.encode_bands([np.array([value])] + empty)
     payload = b"".join(_WAVELET_RECORD.pack(k, bits) for k, bits in records) + section
-    message = "band L: coefficient" if excess > 0 else "decoded samples"
+    message = "band L: coefficient" if excess > 0 else r"sample \(0, 0\): decoded samples"
     with pytest.raises(BitstreamError, match=f"^{message} out of range$"):
         decode_wavelet_lossless(payload, 1, 1, depth)
+
+
+def test_wavelet_sample_out_of_range_is_located():
+    # a 9-bit plane read as 8-bit: its coefficients fit the 8-bit limit, and
+    # the first sample past 255 in raster order is (2, 3)
+    plane = np.zeros((5, 6), dtype=np.int64)
+    plane[2, 3], plane[4, 0] = 300, 400
+    payload = encode_wavelet_lossless(plane, 9)
+    with pytest.raises(BitstreamError, match=r"^sample \(2, 3\): decoded samples out of range$"):
+        decode_wavelet_lossless(payload, 6, 5, 8)
 
 
 @pytest.mark.parametrize("coder", list(LosslessCoderId), ids=lambda c: c.name.lower())

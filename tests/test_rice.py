@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from tlxs.errors import BitstreamError
 from tlxs.rice import (
     MAX_RICE_K,
     PREFIX_BITS,
+    BandRecord,
     choose_rice_k,
     decode_band,
     decode_bands,
@@ -18,6 +20,7 @@ from tlxs.rice import (
     encode_bands,
     pack_codes,
     prefix_codes,
+    read_records,
     rice_bit_cost,
     zigzag_map,
     zigzag_unmap,
@@ -670,6 +673,68 @@ def test_bands_payload_length_must_match(change):
     entries = _entries(bands, records)
     with pytest.raises(BitstreamError):
         list(decode_bands(payload, entries, _names(entries), 0))
+
+
+def test_records_carry_component_and_step():
+    # two components of two bands; the second table has no step field
+    layout = [("L", 2, 1), ("H", 1, 1)]
+    stepped = struct.Struct(">HBI")
+    table = b"".join(stepped.pack(step, 1, 9) for step in (3, 4, 5, 6)) + bytes(8)
+    records = read_records(b"hdr" + table, 3, layout, range(2), stepped, "")
+    assert records == (
+        BandRecord("L", 0, 2, 1, 3, 1, 9),
+        BandRecord("H", 0, 1, 1, 4, 1, 9),
+        BandRecord("L", 1, 2, 1, 5, 1, 9),
+        BandRecord("H", 1, 1, 1, 6, 1, 9),
+    )
+    stepless = struct.Struct(">BI")
+    table = stepless.pack(2, 8) + stepless.pack(0, 0) + bytes(1)
+    records = read_records(table, 0, layout, (2,), stepless, "")
+    assert records == (BandRecord("L", 2, 2, 1, 1, 2, 8), BandRecord("H", 2, 1, 1, 1, 0, 0))
+    assert records[0].entry(100) == ((1, 2), 2, 8, 100)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (bytes(9), "^at: truncated inside band records$"),
+        (struct.pack(">HBIHBI", 0, 0, 0, 1, 0, 0), "^at: band L declares step 0$"),
+        (struct.pack(">HBIHBI", 1, 0, 0, 1, 0, 9), "^at: declared band sizes"),
+        (struct.pack(">HBIHBI", 1, 0, 0, 1, 0, 9) + bytes(3), "^at: declared band sizes"),
+    ],
+    ids=["cut", "step_0", "short", "long"],
+)
+def test_bad_record_tables_rejected(table, message):
+    layout = [("L", 1, 1), ("H", 1, 1)]
+    with pytest.raises(BitstreamError, match=message):
+        read_records(table, 0, layout, (0,), struct.Struct(">HBI"), "at: ")
+
+
+@pytest.mark.parametrize("layer", ["base", "wavelet"])
+def test_rice_k_past_the_largest_rejected_in_both_layers(layer):
+    from tlxs import base, dwt
+    from tlxs.residual import (
+        _EXT_FIXED,
+        _EXT_LEN,
+        LosslessCoderId,
+        encode_extension,
+        parse_extension_header,
+    )
+    from tlxs.synthetic import natural_image
+
+    image = natural_image(32, 16, 8)
+    if layer == "base":
+        payload = bytearray(base.encode_base(image, base.BaseConfig(target_bpp=2.0)))
+        payload[base._FIXED.size + 2] = MAX_RICE_K + 1  # first record's k, after step u16
+        name = dwt.band_dimensions(32, 16, 5, 2)[0][0]
+        with pytest.raises(BitstreamError, match=f"band {name} declares rice k 25$"):
+            base.parse_base_header(bytes(payload))
+    else:
+        payload = bytearray(encode_extension(image.planes, 8, LosslessCoderId.WAVELET))
+        payload[_EXT_FIXED.size + _EXT_LEN.size] = MAX_RICE_K + 1  # first record's k
+        name = dwt.band_dimensions(32, 16, 3, 3)[0][0]
+        with pytest.raises(BitstreamError, match=f"band {name} declares rice k 25$"):
+            parse_extension_header(bytes(payload), 32, 16, 1)
 
 
 @pytest.mark.parametrize(
