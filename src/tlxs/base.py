@@ -274,26 +274,25 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
 def decode_base(payload: bytes) -> PlanarImage:
     """Reconstruct the base image; bit-exact mirror of the encoder's own view."""
     info = parse_base_header(payload)
-    records = [r for r in info.records if r.bits]
     # |i| * step + step // 2 <= limit for every index the section reader yields
     limit = (1 << (info.bit_depth + info.levels_h + info.levels_v + 1)) + MAX_STEP
     coded = rice.decode_bands(
-        payload[info.data_offset :],
-        [r.entry(limit) for r in records],
-        [f"base component {r.component}: band {r.name}" for r in records],
-        info.data_offset,
+        payload, info.data_offset, [r for r in info.records if r.bits], limit
     )
     planes = []
     for comp in range(info.components):
         # zero-length convention: every index, so every coefficient, is zero;
         # a read-only view stands in for the band
-        bands = [
-            _dequantize(next(coded), r.step)
-            if r.bits
-            else np.broadcast_to(np.int32(0), (r.height, r.width))
-            for r in info.records
-            if r.component == comp
-        ]
+        try:
+            bands = [
+                _dequantize(next(coded), r.step)
+                if r.bits
+                else np.broadcast_to(np.int32(0), (r.height, r.width))
+                for r in info.records
+                if r.component == comp
+            ]
+        except BitstreamError as err:
+            raise BitstreamError(f"base component {comp}: {err}") from err
         plane = dwt.recompose(bands, info.width, info.height, info.levels_h, info.levels_v)
         np.clip(plane, 0, (1 << info.bit_depth) - 1, out=plane)
         planes.append(frozen(plane))

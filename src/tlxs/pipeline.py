@@ -17,7 +17,7 @@ import numpy as np
 from . import container
 from .base import BaseConfig, decode_base, encode_base_detailed, parse_base_header
 from .container import ContainerMeta, demux, mux
-from .errors import CodecError, ContainerError
+from .errors import BitstreamError, CodecError, ContainerError
 from .image import INFINITE, PlanarImage, bits_per_pixel, frozen, measure
 from .residual import (
     LosslessCoderId,
@@ -141,7 +141,15 @@ def decode_two_layer(data: bytes) -> DecodeResult:
         for s, b in zip(planes, base_image.planes):
             s -= offset
             s += b
-    image = PlanarImage.from_planes([frozen(s) for s in planes], meta.bit_depth)
+    try:
+        image = PlanarImage.from_planes([frozen(s) for s in planes], meta.bit_depth)
+    except CodecError:
+        # only the restore can leave the range: name its first sample outside it
+        comp, row, col = np.argwhere(np.stack(planes) >> meta.bit_depth)[0]
+        raise BitstreamError(
+            f"extension component {comp}: sample ({row}, {col}): "
+            f"restored sample out of range for bit depth {meta.bit_depth}"
+        ) from None
     return DecodeResult(
         image=image,
         lossless=True,

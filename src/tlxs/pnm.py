@@ -43,9 +43,10 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
-    if not token.isdigit():  # ASCII [0-9]+ only: int() would also take "+16" or "1_6"
+    digits = token.lstrip(b"0")  # below 10**18: int() refuses thousands of digits
+    if not token.isdigit() or len(digits) > 18:  # ASCII [0-9]+ only, not "+16" or "1_6"
         raise PnmError(f"bad {what} in header: {token!r}")
-    return int(token), pos
+    return int(digits or b"0"), pos
 
 
 def load_pnm(path: str) -> PlanarImage:

@@ -423,17 +423,9 @@ def decode_wavelet_lossless(
         raise CodecError("empty plane dimensions")
     layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     records = rice.read_records(data, 0, layout, (0,), _WAVELET_RECORD, "")
-    header_size = _WAVELET_RECORD.size * len(records)
     limit = 1 << (depth + 2 * _WAVELET_LEVELS + 1)
-    bands = list(
-        rice.decode_bands(
-            data[header_size:],
-            [r.entry(limit) for r in records],
-            [f"band {r.name}" for r in records],
-            header_size,
-        )
-    )
-    samples = dwt.recompose(bands, width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
+    bands = rice.decode_bands(data, _WAVELET_RECORD.size * len(records), records, limit)
+    samples = dwt.recompose(list(bands), width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     if int(samples.min()) < 0 or int(samples.max()) >> depth:
         # the first in raster order; no bit locates it, as the inverse mixes bands
         row, col = np.argwhere(samples >> depth)[0]

@@ -34,14 +34,13 @@ local search on the convex coded length, see :func:`choose_rice_k`) and
 zero-padded to a byte boundary, MSB first, with no separators. A record
 table in front of it, which :func:`read_records` reads for both layers,
 declares each band's ``k``, coded length in bits and, in the base, step.
-:func:`encode_bands` and :func:`decode_bands` own the section itself. The
-reader checks every value against the band's declared bound while it is still
-int64, then yields the band as int32, so no value is ever wrapped.
+:func:`encode_bands` writes the section and :func:`decode_bands` reads it
+straight from those :class:`BandRecord` s, checking every value against its
+band's bound while it is still int64, so no int32 band is ever wrapped.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -266,42 +265,6 @@ def encode_bands(bands: Iterable[np.ndarray]) -> tuple[list[tuple[int, int]], by
     return records, b"".join(chunks)
 
 
-def decode_bands(
-    payload: bytes,
-    entries: Sequence[tuple[tuple[int, ...], int, int, int]],
-    names: Sequence[str],
-    offset: int,
-) -> Iterator[np.ndarray]:
-    """Yield each band described by ``(shape, k, bits, bound)`` as int32 of that shape.
-
-    ``payload`` must be exactly the section :func:`encode_bands` wrote for
-    these entries. Every ``k`` must already be within ``0..MAX_RICE_K`` and
-    every ``bound`` below ``2**30``. A value with ``|v| > bound`` raises
-    ``"{name}: coefficient out of range"``, checked as ``mapped > 2 * bound``
-    before the int32 narrowing. Any other :class:`BitstreamError` inside band
-    ``i`` is prefixed with ``names[i]`` and the band's first bit, counted from
-    ``offset`` bytes before ``payload``: the start of the caller's payload.
-    """
-    if sum((bits + 7) // 8 for _, _, bits, _ in entries) != len(payload):
-        raise BitstreamError("declared band sizes do not match band section length")
-    pos = 0
-    for name, (shape, k, bits, bound) in zip(names, entries, strict=True):
-        nbytes = (bits + 7) // 8
-        band_bits = np.unpackbits(
-            np.frombuffer(payload, dtype=np.uint8, count=nbytes, offset=pos)
-        )
-        try:
-            if band_bits[bits:].any():
-                raise BitstreamError("nonzero padding after band")
-            mapped = _decode_mapped(band_bits[:bits], math.prod(shape), k)
-        except BitstreamError as err:
-            raise BitstreamError(f"{name} at bit {8 * (offset + pos)}: {err}") from err
-        if mapped.size and int(mapped.max()) > 2 * bound:
-            raise BitstreamError(f"{name}: coefficient out of range")
-        pos += nbytes
-        yield zigzag_unmap(mapped.astype(np.int32)).reshape(shape)
-
-
 class BandRecord(NamedTuple):
     """One coded band as its layer's record table declares it."""
 
@@ -313,10 +276,35 @@ class BandRecord(NamedTuple):
     k: int
     bits: int
 
-    def entry(self, limit: int) -> tuple[tuple[int, int], int, int, int]:
-        """Its :func:`decode_bands` entry, bound to ``|i| * step + step // 2 <= limit``."""
-        bound = (limit - self.step // 2) // self.step
-        return (self.height, self.width), self.k, self.bits, bound
+
+def decode_bands(
+    data: bytes | memoryview, pos: int, records: Sequence[BandRecord], limit: int
+) -> Iterator[np.ndarray]:
+    """Yield each record's band as int32 of shape ``(height, width)``.
+
+    ``data`` from byte ``pos`` on must be exactly the section
+    :func:`encode_bands` wrote for ``records``, which is checked first. Every
+    ``k`` must already be within ``0..MAX_RICE_K``. An index ``i`` must keep
+    ``|i| * step + step // 2 <= limit``, a bound below ``2**30``; one past it
+    raises ``"band NAME: coefficient out of range"`` before the int32
+    narrowing. Any other :class:`BitstreamError` inside a band is prefixed
+    with ``"band NAME at bit N"``, ``N`` counted from the start of ``data``.
+    """
+    if pos + sum((r.bits + 7) // 8 for r in records) != len(data):
+        raise BitstreamError("declared band sizes do not match band section length")
+    for r in records:
+        nbytes = (r.bits + 7) // 8
+        band_bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos))
+        try:
+            if band_bits[r.bits :].any():
+                raise BitstreamError("nonzero padding after band")
+            mapped = _decode_mapped(band_bits[: r.bits], r.width * r.height, r.k)
+        except BitstreamError as err:
+            raise BitstreamError(f"band {r.name} at bit {8 * pos}: {err}") from err
+        if mapped.size and int(mapped.max()) > 2 * ((limit - r.step // 2) // r.step):
+            raise BitstreamError(f"band {r.name}: coefficient out of range")
+        pos += nbytes
+        yield zigzag_unmap(mapped.astype(np.int32)).reshape(r.height, r.width)
 
 
 def read_records(

@@ -15,6 +15,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# deeper fuzzing: python -m pytest tests/test_fuzz.py --hypothesis-profile=fuzz
+settings.register_profile("fuzz", parent=settings.get_profile("tlxs"), max_examples=20000)
 settings.load_profile("tlxs")
 
 

@@ -464,6 +464,45 @@ def test_index_bound_is_checked_before_dequantizing(step, sign):
         decode_base(_one_band_payload(sign * (bound + 1), step))
 
 
+def _three_component_payload(index, step=1, bit_depth=16):
+    """A 1x1 three-component base payload at 6/2 levels.
+
+    Components 0 and 1 code index 1 in band L, component 2 codes ``index``;
+    every other band is zero-length.
+    """
+    layout = dwt.band_dimensions(1, 1, 6, 2)
+    indices = [1, 1, index]
+    coded, section = rice.encode_bands(np.array([i], dtype=np.int64) for i in indices)
+    header = base._FIXED.pack(base.MAGIC, 1, 1, 3, bit_depth, (6 << 4) | 2)
+    records = []
+    for k, bits in coded:
+        records.append(base._RECORD.pack(step, k, bits))
+        records += [base._RECORD.pack(step, 0, 0)] * (len(layout) - 1)
+    return header + b"".join(records) + section
+
+
+def test_band_error_in_component_2_names_its_location():
+    payload = bytearray(_three_component_payload(0))
+    info = parse_base_header(bytes(payload))
+    # components 0 and 1 take one byte each; component 2's L band is "0" and
+    # seven padding bits, of which the last is now set
+    start = info.data_offset + 2
+    assert len(payload) == start + 1
+    payload[start] |= 0x01
+    where = f"^base component 2: band L at bit {8 * start}: nonzero padding after band$"
+    with pytest.raises(BitstreamError, match=where):
+        decode_base(bytes(payload))
+
+
+def test_coefficient_out_of_range_in_component_2_names_its_band():
+    limit = (1 << 25) + base.MAX_STEP
+    decode_base(_three_component_payload(limit))
+    with pytest.raises(
+        BitstreamError, match="^base component 2: band L: coefficient out of range$"
+    ):
+        decode_base(_three_component_payload(limit + 1))
+
+
 def test_index_that_would_wrap_in_int32_is_rejected():
     # 2**40 narrowed to int32 is 0; the check runs on the decoded int64 indices
     with pytest.raises(BitstreamError, match="coefficient out of range"):

@@ -13,6 +13,7 @@ import hypothesis.strategies as st
 from tlxs.errors import BitstreamError
 from tlxs.rice import (
     MAX_RICE_K,
+    BandRecord,
     byte_windows,
     decode_bands,
     encode_band,
@@ -61,9 +62,9 @@ def test_reader_roundtrip_fields():
 def test_reader_truncation():
     # nine bits declared, one byte present
     with pytest.raises(BitstreamError):
-        list(decode_bands(b"\xff", [((1,), 0, 9, 1)], ["band 0"], 0))
+        list(decode_bands(b"\xff", 0, [BandRecord("0", 0, 1, 1, 1, 0, 9)], 1))
     with pytest.raises(BitstreamError):
-        list(decode_bands(b"", [((1,), 0, 1, 1)], ["band 0"], 0))
+        list(decode_bands(b"", 0, [BandRecord("0", 0, 1, 1, 1, 0, 1)], 1))
 
 
 def test_bit_array_roundtrip():
@@ -75,8 +76,8 @@ def test_bit_array_roundtrip():
     unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     assert np.array_equal(unpacked[: bits.size], bits)
     assert np.all(unpacked[bits.size :] == 0)
-    (out,) = decode_bands(payload, [(band.shape, k, nbits, 3)], ["band 0"], 0)
-    assert np.array_equal(out, band)
+    (out,) = decode_bands(payload, 0, [BandRecord("0", 0, band.size, 1, 1, k, nbits)], 3)
+    assert np.array_equal(out, band.reshape(1, -1))
 
 
 @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, MAX_RICE_K)), max_size=30))

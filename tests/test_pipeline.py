@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from tlxs.base import LOSSLESS_BASE, BaseConfig
 from tlxs.container import HEADER_SIZE, demux
-from tlxs.errors import CodecError, ContainerError
+from tlxs.errors import BitstreamError, CodecError, ContainerError
 from tlxs.image import bits_per_pixel
 from tlxs.pipeline import (
     CSV_COLUMNS,
@@ -192,6 +192,30 @@ def test_restored_samples_out_of_range_rejected():
     meta = ContainerMeta(16, 16, 1, 8, int(LosslessCoderId.PREDICTIVE))
     with pytest.raises(CodecError):
         decode_two_layer(mux(base, ext, meta))
+
+
+@pytest.mark.parametrize("coder", list(LosslessCoderId))
+def test_restore_names_the_first_sample_out_of_range(coder):
+    # the extension re-encoded from the shifted residual with its largest
+    # sample, 2**(N+1) - 1, which both coders accept and which restores to
+    # 2**N plus the base sample; component 1 comes before component 2
+    from tlxs.container import ContainerMeta, mux
+    from tlxs.residual import compute_residual, dc_shift, decode_extension
+
+    img = color_gradient_image(12, 9, 8)
+    details = encode_two_layer_detailed(img, BaseConfig(target_bpp=2.0), coder)
+    shifted = [np.array(dc_shift(r).samples) for r in compute_residual(img, details.base_image)]
+    shifted[1][4, 7] = shifted[2][0, 0] = (1 << 9) - 1
+    ext = encode_extension(shifted, 9, coder)
+    blob = mux(details.base_bytes, ext, ContainerMeta(12, 9, 3, 8, int(coder)))
+    message = (
+        r"^extension component 1: sample \(4, 7\): "
+        "restored sample out of range for bit depth 8$"
+    )
+    with pytest.raises(BitstreamError, match=message):
+        decode_two_layer(blob)
+    planes, _, _ = decode_extension(ext, 12, 9, 3)
+    assert planes[1][4, 7] == planes[2][0, 0] == (1 << 9) - 1
 
 
 def test_empty_container_is_error():

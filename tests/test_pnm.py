@@ -91,6 +91,15 @@ def test_malformed_header_token(header, what):
         parse_pnm(header + bytes(32))
 
 
+@pytest.mark.parametrize("digits", [19, 5000], ids=["past_10**18", "past_int_digit_limit"])
+def test_header_number_with_too_many_digits_rejected(digits):
+    # 5000 digits is past the 4300 that int() converts by default
+    with pytest.raises(PnmError, match="^bad width in header"):
+        parse_pnm(b"P5 " + b"9" * digits + b" 1 255 " + bytes(32))
+    img = parse_pnm(b"P5 " + b"0" * digits + b"2 1 255 " + bytes([9, 8]))
+    assert img.planes[0].tolist() == [[9, 8]]
+
+
 def test_comments_in_header():
     img = parse_pnm(b"P5 # a comment\n2 1 # another\n255 " + bytes([9, 8]))
     assert img.planes[0].tolist() == [[9, 8]]

@@ -576,12 +576,12 @@ def test_chosen_k_at_every_start_point(k_mean, n):
 _BOUND = (1 << 30) - 1
 
 
-def _entries(bands, records):
-    return [((len(band),), k, bits, _BOUND) for band, (k, bits) in zip(bands, records)]
-
-
-def _names(entries):
-    return [f"band {i}" for i in range(len(entries))]
+def _records(bands, coded):
+    """Band ``i`` as a record named ``i`` of shape ``(1, len(band))`` at step 1."""
+    return [
+        BandRecord(str(i), 0, len(band), 1, 1, k, bits)
+        for i, (band, (k, bits)) in enumerate(zip(bands, coded))
+    ]
 
 
 @pytest.mark.parametrize(
@@ -598,20 +598,18 @@ def test_bands_roundtrip(bands):
     records, payload = encode_bands(bands)
     assert [k for k, _ in records] == [chosen_k(b) for b in bands]
     assert len(payload) == sum((bits + 7) // 8 for _, bits in records)
-    entries = _entries(bands, records)
-    out = list(decode_bands(payload, entries, _names(entries), 0))
+    out = list(decode_bands(payload, 0, _records(bands, records), _BOUND))
     assert len(out) == len(bands)
     for got, want in zip(out, bands):
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want.reshape(1, -1))
 
 
 @given(st.lists(st.lists(st.integers(-4000, 4000), max_size=40), max_size=8))
 def test_bands_roundtrip_property(bands):
     bands = [np.asarray(band, dtype=np.int64) for band in bands]
     records, payload = encode_bands(bands)
-    entries = _entries(bands, records)
-    out = list(decode_bands(payload, entries, _names(entries), 0))
-    assert all(np.array_equal(a, b) for a, b in zip(out, bands))
+    out = list(decode_bands(payload, 0, _records(bands, records), _BOUND))
+    assert all(np.array_equal(a, b.reshape(1, -1)) for a, b in zip(out, bands))
 
 
 @pytest.mark.parametrize("bound", [1, 1000, (1 << 30) - 1])
@@ -624,8 +622,9 @@ def test_bands_bound_edges(bound, excess):
     band[1, 2] = value
     band[2, 4] = -bound
     records, payload = encode_bands([band])
-    entries = [((3, 5), k, bits, bound) for k, bits in records]
-    decoded = decode_bands(payload, entries, ["band X"], 0)
+    decoded = decode_bands(
+        payload, 0, [BandRecord("X", 0, 5, 3, 1, k, bits) for k, bits in records], bound
+    )
     if excess > 0:
         with pytest.raises(BitstreamError, match="^band X: coefficient out of range$"):
             list(decoded)
@@ -653,8 +652,9 @@ def test_bands_packed_msb_first_and_zero_padded():
 
 def test_bands_set_padding_bit_rejected():
     _, payload = encode_bands([np.array([3])])
+    record = BandRecord("0", 0, 1, 1, 1, 2, 4)
     with pytest.raises(BitstreamError):
-        list(decode_bands(bytes([payload[0] | 0x01]), [((1,), 2, 4, _BOUND)], ["band 0"], 0))
+        list(decode_bands(bytes([payload[0] | 0x01]), 0, [record], _BOUND))
 
 
 def test_bands_count_above_bits_rejected():
@@ -662,7 +662,7 @@ def test_bands_count_above_bits_rejected():
     records, payload = encode_bands([np.zeros(4, dtype=np.int64)])
     assert records == [(0, 4)]
     with pytest.raises(BitstreamError, match="cannot hold"):
-        list(decode_bands(payload, [((5,), 0, 4, _BOUND)], ["band 0"], 0))
+        list(decode_bands(payload, 0, [BandRecord("0", 0, 5, 1, 1, 0, 4)], _BOUND))
 
 
 @pytest.mark.parametrize("change", ["short", "long"])
@@ -670,9 +670,8 @@ def test_bands_payload_length_must_match(change):
     bands = [np.arange(-20, 20, dtype=np.int64), np.array([1, 2, 3])]
     records, payload = encode_bands(bands)
     payload = payload[:-1] if change == "short" else payload + b"\x00"
-    entries = _entries(bands, records)
     with pytest.raises(BitstreamError):
-        list(decode_bands(payload, entries, _names(entries), 0))
+        list(decode_bands(payload, 0, _records(bands, records), _BOUND))
 
 
 def test_records_carry_component_and_step():
@@ -691,7 +690,9 @@ def test_records_carry_component_and_step():
     table = stepless.pack(2, 8) + stepless.pack(0, 0) + bytes(1)
     records = read_records(table, 0, layout, (2,), stepless, "")
     assert records == (BandRecord("L", 2, 2, 1, 1, 2, 8), BandRecord("H", 2, 1, 1, 1, 0, 0))
-    assert records[0].entry(100) == ((1, 2), 2, 8, 100)
+    # mapped 4 at k = 2 is "1000": the two samples of L, width 2 by height 1
+    (band,) = decode_bands(b"\x88", 0, records[:1], 100)
+    assert band.tolist() == [[2, 2]]
 
 
 @pytest.mark.parametrize(
