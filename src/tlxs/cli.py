@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .base import LOSSLESS_BASE, BaseConfig, parse_base_header
-from .container import CODER_NONE, HEADER_SIZE, decode_base_only, demux
+from .base import LOSSLESS_BASE, BaseConfig
+from .container import HEADER_SIZE, decode_base_only, demux, read_headers
 from .errors import CodecError
 from .image import bits_per_pixel
 from .pipeline import bench_sweep, decode_two_layer, encode_two_layer_detailed, rows_to_csv
 from .pnm import load_pnm, store_pnm
-from .residual import LosslessCoderId, parse_extension_header
+from .residual import LosslessCoderId
 
 _CODER_BY_NAME = {c.name.lower(): c for c in LosslessCoderId}
 
@@ -112,36 +112,28 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     with open(args.file, "rb") as handle:
         data = handle.read()
     base, ext, meta = demux(data)
+    base_info, ext_info = read_headers(base, ext, meta)
     print(f"container: {len(data)} bytes (header {HEADER_SIZE})")
     print(f"image: {meta.width}x{meta.height}, {meta.components} component(s), {meta.bit_depth}-bit")
-    if meta.coder_id == CODER_NONE:
-        coder = "none"
-    else:
-        try:
-            coder = LosslessCoderId(meta.coder_id).name.lower()
-        except ValueError:
-            coder = f"unknown ({meta.coder_id})"
-    print(f"coder: {coder}")
+    print(f"coder: {ext_info.coder.name.lower() if ext_info else 'none'}")
     print(f"base: {len(base)} bytes")
     print(f"extension: {'absent' if not ext else f'{len(ext)} bytes'}")
-    if base:
-        info = parse_base_header(base)
-        print(f"base levels: {info.levels_h} horizontal / {info.levels_v} vertical")
+    if base_info:
+        print(f"base levels: {base_info.levels_h} horizontal / {base_info.levels_v} vertical")
         print("band  comp  size       step   k  bits")
-        for record in info.records:
+        for record in base_info.records:
             print(
                 f"{record.name:<5} {record.component:<5} "
                 f"{record.width:>4}x{record.height:<5} "
                 f"{record.step:<6} {record.k:<2} {record.bits}"
             )
-    if ext:
-        info = parse_extension_header(ext, meta.width, meta.height, meta.components)
-        print(f"extension coder: {info.coder.name.lower()}, depth {info.depth}")
-        for comp, part in enumerate(info.components):
+    if ext_info:
+        print(f"extension coder: {ext_info.coder.name.lower()}, depth {ext_info.depth}")
+        for comp, part in enumerate(ext_info.components):
             print(f"extension component {comp}: {part.length} bytes")
-        if info.coder == LosslessCoderId.WAVELET:
+        if ext_info.coder == LosslessCoderId.WAVELET:
             print("band  comp  size       k  bits")
-            for comp, part in enumerate(info.components):
+            for comp, part in enumerate(ext_info.components):
                 for band in part.bands:
                     print(
                         f"{band.name:<5} {comp:<5} {band.width:>4}x{band.height:<5} "

@@ -12,6 +12,12 @@ there surfaces as decode errors. Either layer may be empty: a base-only file
 is a plain lossy stream, a base-less file is a pure losslessly coded image.
 ``coder_id`` is nonzero exactly when an extension is present; both
 :func:`mux` and :func:`demux` enforce this.
+
+:func:`read_headers` is the one place where the layer headers are checked
+against the container, before any sample is decoded: at least one layer is
+present; the extension's coder is ``coder_id`` and its depth is ``bit_depth``,
+plus one over a base; the base declares the container's size, components and
+depth. Decode, base-only decode and ``tlxs inspect`` all refuse by it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import (
     MissingLayerError,
 )
 from .image import PlanarImage
+from .residual import ExtensionInfo, parse_extension_header
 
 MAGIC = b"TLXS"
 VERSION = 1
@@ -142,15 +149,44 @@ def demux(data: bytes) -> tuple[bytes, bytes, ContainerMeta]:
     return base, ext, meta
 
 
+def _shape(x: ContainerMeta | PlanarImage | BaseStreamInfo) -> str:
+    return f"{x.width}x{x.height}, {x.components} component(s), {x.bit_depth}-bit"
+
+
 def check_base_matches(meta: ContainerMeta, image: PlanarImage | BaseStreamInfo) -> None:
     """Reject a base payload, decoded or its header, that disagrees with the outer header."""
-    if (
-        image.width != meta.width
-        or image.height != meta.height
-        or image.components != meta.components
-        or image.bit_depth != meta.bit_depth
-    ):
-        raise ContainerError("base payload header disagrees with container header")
+    found, declared = _shape(image), _shape(meta)
+    if found != declared:
+        raise ContainerError(
+            f"base payload header ({found}) disagrees with container header ({declared})"
+        )
+
+
+def read_headers(
+    base: bytes, ext: bytes, meta: ContainerMeta
+) -> tuple[BaseStreamInfo | None, ExtensionInfo | None]:
+    """Parse each present layer's header and refuse one that disagrees with ``meta``."""
+    if not base and not ext:
+        raise ContainerError("container has neither base nor extension layer")
+    ext_info = None
+    if ext:
+        ext_info = parse_extension_header(ext, meta.width, meta.height, meta.components)
+        if ext_info.coder != meta.coder_id:
+            raise ContainerError(
+                f"extension coder id {int(ext_info.coder)} disagrees with "
+                f"container header coder id {meta.coder_id}"
+            )
+        # A base adds one bit to the residual, which the extension holds DC-shifted.
+        expected = meta.bit_depth + bool(base)
+        if ext_info.depth != expected:
+            raise ContainerError(
+                f"extension depth {ext_info.depth} does not match expected depth {expected}"
+            )
+    base_info = None
+    if base:
+        base_info = parse_base_header(base)
+        check_base_matches(meta, base_info)
+    return base_info, ext_info
 
 
 def decode_base_only(data: bytes) -> PlanarImage:
@@ -158,5 +194,5 @@ def decode_base_only(data: bytes) -> PlanarImage:
     base, _ext, meta = demux(data)
     if not base:
         raise MissingLayerError("file has no base layer")
-    check_base_matches(meta, parse_base_header(base))
+    read_headers(base, b"", meta)
     return decode_base(base)

@@ -14,10 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import container
-from .base import BaseConfig, decode_base, encode_base_detailed, parse_base_header
-from .container import ContainerMeta, demux, mux
-from .errors import BitstreamError, CodecError, ContainerError
+from .base import BaseConfig, decode_base, encode_base_detailed
+from .container import HEADER_SIZE, ContainerMeta, demux, mux, read_headers
+from .errors import BitstreamError, CodecError
 from .image import INFINITE, PlanarImage, bits_per_pixel, frozen, measure
 from .residual import (
     LosslessCoderId,
@@ -26,7 +25,6 @@ from .residual import (
     dc_shift,
     decode_extension,
     encode_extension,
-    parse_extension_header,
 )
 
 
@@ -104,37 +102,12 @@ def encode_two_layer(
 def decode_two_layer(data: bytes) -> DecodeResult:
     """Reconstruct the original image (bit-exact when an extension is present)."""
     base_payload, ext_payload, meta = demux(data)
-    if not base_payload and not ext_payload:
-        raise ContainerError("container has neither base nor extension layer")
-
-    # The extension's header is checked against the container before either
-    # layer decodes a sample.
-    if ext_payload:
-        ext_info = parse_extension_header(
-            ext_payload, meta.width, meta.height, meta.components
-        )
-        if int(ext_info.coder) != meta.coder_id:
-            raise ContainerError("extension coder disagrees with container header")
-        # A base adds one bit to the residual, which the extension holds DC-shifted.
-        expected = meta.bit_depth + bool(base_payload)
-        if ext_info.depth != expected:
-            raise ContainerError(
-                f"extension depth {ext_info.depth} does not match expected depth {expected}"
-            )
-
-    base_image: PlanarImage | None = None
-    if base_payload:
-        container.check_base_matches(meta, parse_base_header(base_payload))
-        base_image = decode_base(base_payload)
-
+    read_headers(base_payload, ext_payload, meta)
+    base_image = decode_base(base_payload) if base_payload else None
     if not ext_payload:
-        return DecodeResult(
-            image=base_image, lossless=False, has_base=True, has_extension=False
-        )
+        return DecodeResult(base_image, lossless=False, has_base=True, has_extension=False)
 
-    planes, _, _ = decode_extension(
-        ext_payload, meta.width, meta.height, meta.components
-    )
+    planes, _, _ = decode_extension(ext_payload, meta.width, meta.height, meta.components)
     if base_image is not None:
         # in place in the decoder's fresh planes; values stay below 2**17
         offset = (1 << meta.bit_depth) - 1
@@ -217,9 +190,7 @@ def bench_sweep(
                     ext_bpp=bits_per_pixel(
                         len(details.ext_bytes), image.width, image.height
                     ),
-                    overhead_bpp=bits_per_pixel(
-                        container.HEADER_SIZE, image.width, image.height
-                    ),
+                    overhead_bpp=bits_per_pixel(HEADER_SIZE, image.width, image.height),
                     total_bpp=bits_per_pixel(
                         len(details.file_bytes), image.width, image.height
                     ),

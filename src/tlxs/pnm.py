@@ -9,16 +9,19 @@ between header tokens.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import PnmError
 from .image import PlanarImage
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
+_TOKEN = re.compile(b"[^%s#]*" % re.escape(_WHITESPACE))  # up to whitespace or a comment
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    """Return the next header token and the index just past its delimiter."""
+    """Return the next header token and the index of the byte just past it."""
     n = len(data)
     while pos < n:
         c = data[pos : pos + 1]
@@ -33,19 +36,15 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
             break
     if pos >= n:
         raise PnmError("unexpected end of header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE:
-        if data[pos : pos + 1] == b"#":
-            break
-        pos += 1
-    return data[start:pos], pos
+    end = _TOKEN.match(data, pos).end()
+    return data[pos:end], end
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, pos = _next_token(data, pos)
     digits = token.lstrip(b"0")  # below 10**18: int() refuses thousands of digits
     if not token.isdigit() or len(digits) > 18:  # ASCII [0-9]+ only, not "+16" or "1_6"
-        raise PnmError(f"bad {what} in header: {token!r}")
+        raise PnmError(f"bad {what} in header: {token[:20]!r} of {len(token)} bytes")
     return int(digits or b"0"), pos
 
 
@@ -63,7 +62,7 @@ def parse_pnm(data: bytes) -> PlanarImage:
     elif magic == b"P6":
         components = 3
     else:
-        raise PnmError(f"unsupported magic {magic!r} (want P5 or P6)")
+        raise PnmError(f"unsupported magic {magic[:20]!r} of {len(magic)} bytes (want P5 or P6)")
     width, pos = _int_token(data, pos, "width")
     height, pos = _int_token(data, pos, "height")
     maxval, pos = _int_token(data, pos, "maxval")

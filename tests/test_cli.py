@@ -1,7 +1,11 @@
+import struct
+
 import pytest
 
+from tlxs.base import BaseConfig, encode_base
 from tlxs.cli import main
-from tlxs.container import demux
+from tlxs.container import CODER_NONE, ContainerMeta, demux, mux
+from tlxs.pipeline import encode_two_layer
 from tlxs.pnm import load_pnm, store_pnm
 from tlxs.residual import parse_extension_header
 from tlxs.synthetic import natural_image
@@ -155,10 +159,47 @@ def test_inspect_unknown_coder_id(pgm, tmp_path, capsys):
     main(["encode", "--input", pgm, "--output", str(out)])
     out.write_bytes(reseal(out.read_bytes(), 7, 7))  # byte 7: coder id
     capsys.readouterr()
-    assert main(["inspect", str(out)]) == 0
-    assert "coder: unknown (7)" in capsys.readouterr().out
+    assert main(["inspect", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "extension coder id 1 disagrees with container header coder id 7" in err
     assert main(["decode", "--input", str(out), "--output", str(tmp_path / "r.pgm")]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == err
+
+
+def _base_larger_than_its_container():
+    # 119 bytes: a 64x64 container around a base payload that declares
+    # 2000x2000 with ten zero-length bands
+    base = struct.pack(">4sIIBBB", b"XSB1", 2000, 2000, 1, 8, 0x52)
+    base += struct.pack(">HBI", 1, 0, 0) * 10
+    return mux(base, b"", ContainerMeta(64, 64, 1, 8, CODER_NONE))
+
+
+def _baseless_extension_under_a_base():
+    image = natural_image(16, 16, 8)
+    _, ext, meta = demux(encode_two_layer(image, None))  # an 8-bit extension
+    return mux(encode_base(image, BaseConfig(target_bpp=2.0)), ext, meta)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            _base_larger_than_its_container,
+            "base payload header (2000x2000, 1 component(s), 8-bit) disagrees with "
+            "container header (64x64, 1 component(s), 8-bit)",
+        ),
+        (_baseless_extension_under_a_base, "extension depth 8 does not match expected depth 9"),
+    ],
+    ids=["base_2000x2000_in_64x64", "ext_depth_8_under_base"],
+)
+def test_inspect_refuses_what_decode_refuses_from_the_headers(tmp_path, capsys, make, message):
+    path = tmp_path / "bad.tlxs"
+    path.write_bytes(make())
+    assert main(["decode", "--input", str(path), "--output", str(tmp_path / "r.pgm")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert main(["inspect", str(path)]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_band_sizes_that_overrun_the_extension_exit_1(tmp_path, capsys):

@@ -25,7 +25,7 @@ from hypothesis import given
 from tlxs import cli
 from tlxs.base import LOSSLESS_BASE, BaseConfig
 from tlxs.container import HEADER_SIZE, decode_base_only, demux
-from tlxs.errors import CodecError
+from tlxs.errors import CodecError, ContainerError
 from tlxs.image import PlanarImage
 from tlxs.pipeline import decode_two_layer, encode_two_layer
 from tlxs.pnm import parse_pnm, serialize_pnm
@@ -107,14 +107,20 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _refusal(decode, blob):
+    """The ``CodecError`` that ``decode`` raises on ``blob``; None once its image checks out."""
+    try:
+        image = decode(blob)
+    except CodecError as err:
+        return err
+    _check_image(image, blob)
+    return None
+
+
 @given(mutants())
 def test_mutated_containers_raise_only_codec_errors(workdir, blob):
-    for decode in (lambda b: decode_two_layer(b).image, decode_base_only):
-        try:
-            image = decode(blob)
-        except CodecError:
-            continue
-        _check_image(image, blob)
+    refusal = _refusal(lambda b: decode_two_layer(b).image, blob)
+    _refusal(decode_base_only, blob)
 
     path = workdir / "mutant.tlxs"
     path.write_bytes(blob)
@@ -123,6 +129,8 @@ def test_mutated_containers_raise_only_codec_errors(workdir, blob):
         status = cli.main(["inspect", str(path)])
     assert status in (0, 1)
     assert err.getvalue().startswith("error: ") if status else not err.getvalue()
+    # decode's refusals from the container and layer headers are inspect's too
+    assert status == 1 or not isinstance(refusal, ContainerError)
 
 
 PNMS = [serialize_pnm(_image(c, d, 5, 4)) for c in (1, 3) for d in (8, 12, 16)]

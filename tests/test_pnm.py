@@ -94,10 +94,21 @@ def test_malformed_header_token(header, what):
 @pytest.mark.parametrize("digits", [19, 5000], ids=["past_10**18", "past_int_digit_limit"])
 def test_header_number_with_too_many_digits_rejected(digits):
     # 5000 digits is past the 4300 that int() converts by default
-    with pytest.raises(PnmError, match="^bad width in header"):
+    with pytest.raises(PnmError, match="^bad width in header") as err:
         parse_pnm(b"P5 " + b"9" * digits + b" 1 255 " + bytes(32))
+    assert len(str(err.value)) < 100 and f" of {digits} bytes" in str(err.value)
     img = parse_pnm(b"P5 " + b"0" * digits + b"2 1 255 " + bytes([9, 8]))
     assert img.planes[0].tolist() == [[9, 8]]
+
+
+def test_megabyte_header_token_is_echoed_as_a_prefix_and_its_length():
+    # no whitespace: each token runs to the end of the data
+    with pytest.raises(PnmError) as err:
+        parse_pnm(b"P5 " + b"9" * (1 << 20))
+    assert str(err.value) == f"bad width in header: {b'9' * 20!r} of 1048576 bytes"
+    with pytest.raises(PnmError) as err:
+        parse_pnm(b"P" * (1 << 20))
+    assert str(err.value) == f"unsupported magic {b'P' * 20!r} of 1048576 bytes (want P5 or P6)"
 
 
 def test_comments_in_header():
