@@ -245,16 +245,16 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
         raise BitstreamError("base payload shorter than its fixed header")
     magic, width, height, components, bit_depth, levels = _FIXED.unpack_from(payload)
     if magic != MAGIC:
-        raise BitstreamError(f"bad base payload magic {magic!r}")
+        raise BitstreamError(f"base payload: bad base payload magic {magic!r}")
     levels_h, levels_v = levels >> 4, levels & 0x0F
     if components not in (1, 3):
-        raise BitstreamError(f"bad component count {components}")
+        raise BitstreamError(f"base payload: bad component count {components}")
     if not 8 <= bit_depth <= 16:
-        raise BitstreamError(f"bad bit depth {bit_depth}")
+        raise BitstreamError(f"base payload: bad bit depth {bit_depth}")
     if width < 1 or height < 1:
-        raise BitstreamError("empty image dimensions")
+        raise BitstreamError("base payload: empty image dimensions")
     if not 1 <= levels_h <= 6 or levels_v > min(2, levels_h):
-        raise BitstreamError(f"bad decomposition levels {levels_h}/{levels_v}")
+        raise BitstreamError(f"base payload: bad decomposition levels {levels_h}/{levels_v}")
     layout = dwt.band_dimensions(width, height, levels_h, levels_v)
     records = rice.read_records(
         payload, _FIXED.size, layout, range(components), _RECORD, "base payload: "

@@ -482,13 +482,13 @@ def parse_extension_header(
         raise BitstreamError("extension payload shorter than its header")
     magic, coder_value, depth = _EXT_FIXED.unpack_from(data)
     if magic != EXT_MAGIC:
-        raise BitstreamError(f"bad extension magic {magic!r}")
+        raise BitstreamError(f"extension payload: bad extension magic {magic!r}")
     try:
         coder = LosslessCoderId(coder_value)
     except ValueError:
-        raise BitstreamError(f"unknown lossless coder id {coder_value}") from None
+        raise BitstreamError(f"extension payload: unknown lossless coder id {coder_value}") from None
     if not 2 <= depth <= 17:
-        raise BitstreamError(f"bad extension depth {depth}")
+        raise BitstreamError(f"extension payload: bad extension depth {depth}")
     layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     parts = []
     pos = _EXT_FIXED.size
@@ -507,7 +507,7 @@ def parse_extension_header(
         parts.append(ExtensionComponent(pos, length, bands))
         pos += length
     if pos != len(data):
-        raise BitstreamError("trailing bytes after extension payload")
+        raise BitstreamError("extension payload: trailing bytes after extension payload")
     return ExtensionInfo(coder, depth, tuple(parts))
 
 
@@ -519,7 +519,7 @@ def decode_extension(
     decode = _DECODERS[info.coder]
     planes = []
     for comp, part in enumerate(info.components):
-        payload = data[part.offset : part.offset + part.length]
+        payload = memoryview(data)[part.offset : part.offset + part.length]
         try:
             planes.append(decode(payload, width, height, info.depth))
         except BitstreamError as err:

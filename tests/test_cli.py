@@ -5,7 +5,7 @@ import pytest
 from tlxs.base import BaseConfig, encode_base
 from tlxs.cli import main
 from tlxs.container import CODER_NONE, ContainerMeta, demux, mux
-from tlxs.pipeline import encode_two_layer
+from tlxs.pipeline import bench_sweep, encode_two_layer, rows_to_csv
 from tlxs.pnm import load_pnm, store_pnm
 from tlxs.residual import parse_extension_header
 from tlxs.synthetic import natural_image
@@ -231,6 +231,8 @@ def test_bench_writes_expected_rows(pgm, tmp_path, capsys):
     lines = csv_path.read_text().strip().split("\n")
     assert len(lines) == 7  # header + 3 targets x 2 coders
     assert all(line.endswith("true") for line in lines[1:])
+    # the command is the library's sweep of the stored image
+    assert csv_path.read_text() == rows_to_csv(bench_sweep(load_pnm(pgm), [0, 1, 2]))
 
 
 def test_bench_deterministic(pgm, tmp_path, capsys):

@@ -25,7 +25,7 @@ from hypothesis import given
 from tlxs import cli
 from tlxs.base import LOSSLESS_BASE, BaseConfig
 from tlxs.container import HEADER_SIZE, decode_base_only, demux
-from tlxs.errors import CodecError, ContainerError
+from tlxs.errors import BitstreamError, CodecError, ContainerError
 from tlxs.image import PlanarImage
 from tlxs.pipeline import decode_two_layer, encode_two_layer
 from tlxs.pnm import parse_pnm, serialize_pnm
@@ -120,7 +120,13 @@ def _refusal(decode, blob):
 @given(mutants())
 def test_mutated_containers_raise_only_codec_errors(workdir, blob):
     refusal = _refusal(lambda b: decode_two_layer(b).image, blob)
-    _refusal(decode_base_only, blob)
+    base_refusal = _refusal(decode_base_only, blob)
+    # a payload refusal names the layer it came from
+    assert all(
+        str(err).startswith(("base", "extension"))
+        for err in (refusal, base_refusal)
+        if isinstance(err, BitstreamError)
+    )
 
     path = workdir / "mutant.tlxs"
     path.write_bytes(blob)

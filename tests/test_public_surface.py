@@ -1,4 +1,4 @@
-"""Names the acceptance suite and the benchmark import must keep resolving."""
+"""Names the acceptance suite, the benchmark and the scripts import must keep resolving."""
 
 import ast
 import importlib
@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CONSUMERS = [
     ROOT / "tests" / "test_acceptance.py",
     *sorted((ROOT / "perfbench").glob("*.py")),
+    *sorted((ROOT / "scripts").glob("*.py")),
 ]
 
 
