@@ -58,13 +58,13 @@ class ContainerMeta:
 
     def __post_init__(self) -> None:
         if self.components not in (1, 3):
-            raise ContainerError(f"components must be 1 or 3, got {self.components}")
+            raise ContainerError(f"container: components must be 1 or 3, got {self.components}")
         if not 8 <= self.bit_depth <= 16:
-            raise ContainerError(f"bit depth must be in 8..16, got {self.bit_depth}")
+            raise ContainerError(f"container: bit depth must be in 8..16, got {self.bit_depth}")
         if not 1 <= self.width <= 0xFFFFFFFF or not 1 <= self.height <= 0xFFFFFFFF:
-            raise ContainerError(f"bad dimensions {self.width}x{self.height}")
+            raise ContainerError(f"container: bad dimensions {self.width}x{self.height}")
         if not 0 <= self.coder_id <= 255:
-            raise ContainerError(f"bad coder id {self.coder_id}")
+            raise ContainerError(f"container: bad coder id {self.coder_id}")
 
 
 def _pack_header(meta: ContainerMeta, base_len: int, ext_len: int) -> bytes:
@@ -91,9 +91,9 @@ def _pack_header(meta: ContainerMeta, base_len: int, ext_len: int) -> bytes:
 def _check_coder(coder_id: int, ext_len: int) -> None:
     """A coder id is set exactly when an extension payload is present."""
     if not ext_len and coder_id != CODER_NONE:
-        raise ContainerError("coder id set but no extension payload present")
+        raise ContainerError("container: coder id set but no extension payload present")
     if ext_len and coder_id == CODER_NONE:
-        raise ContainerError("extension payload present but no coder id set")
+        raise ContainerError("container: extension payload present but no coder id set")
 
 
 def mux(base: bytes, ext: bytes, meta: ContainerMeta) -> bytes:
@@ -108,7 +108,7 @@ def demux(data: bytes) -> tuple[bytes, bytes, ContainerMeta]:
     """Split a container into (base, extension, meta), validating the header."""
     if len(data) < HEADER_SIZE:
         raise LengthMismatchError(
-            f"file of {len(data)} bytes is shorter than the {HEADER_SIZE}-byte header"
+            f"container: file of {len(data)} bytes is shorter than the {HEADER_SIZE}-byte header"
         )
     (
         magic,
@@ -124,16 +124,16 @@ def demux(data: bytes) -> tuple[bytes, bytes, ContainerMeta]:
         _reserved,
     ) = _HEADER.unpack_from(data)
     if magic != MAGIC:
-        raise BadMagicError(f"bad container magic {magic!r}")
+        raise BadMagicError(f"container: bad container magic {magic!r}")
     zeroed = bytearray(data[:HEADER_SIZE])
     zeroed[_CRC_OFFSET : _CRC_OFFSET + 4] = b"\x00\x00\x00\x00"
     if zlib.crc32(bytes(zeroed)) != crc:
         raise ChecksumError("container header checksum mismatch")
     if version != VERSION:
-        raise ContainerError(f"unsupported container version {version}")
+        raise ContainerError(f"container: unsupported container version {version}")
     if HEADER_SIZE + base_len + ext_len != len(data):
         raise LengthMismatchError(
-            f"header declares {HEADER_SIZE + base_len + ext_len} bytes, "
+            f"container: header declares {HEADER_SIZE + base_len + ext_len} bytes, "
             f"file has {len(data)}"
         )
     _check_coder(coder_id, ext_len)
@@ -193,6 +193,6 @@ def decode_base_only(data: bytes) -> PlanarImage:
     """Decode just the base layer, ignoring the extension entirely."""
     base, _ext, meta = demux(data)
     if not base:
-        raise MissingLayerError("file has no base layer")
+        raise MissingLayerError("container: file has no base layer")
     read_headers(base, b"", meta)
     return decode_base(base)

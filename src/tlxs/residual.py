@@ -274,6 +274,9 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
     nbits = 8 * len(data)
     if count > nbits:  # every code takes at least one bit
         raise BitstreamError(f"{len(data)} bytes cannot hold {count} samples")
+    # A valid mapped error is at most (2 << depth) - 2: no code outgrows its k = 0 length.
+    if nbits > count * ((2 << depth) - 1) + 7:
+        raise BitstreamError(f"{len(data)} bytes exceed any stream of {count} samples")
     win = rice.byte_windows(data)
     rows = rice.PREFIX_ROWS
     fill = rice.fill_prefix

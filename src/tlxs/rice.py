@@ -177,10 +177,13 @@ def _decode_mapped(bits: np.ndarray, count: int, k: int) -> np.ndarray:
         if bits.size:
             raise BitstreamError("trailing bits after band payload")
         return np.zeros(0, dtype=np.int64)
-    zeros = np.flatnonzero(bits == 0)
-    n = zeros.size
+    is_zero = bits == 0
+    n = int(np.count_nonzero(is_zero))
     if n < count:
         raise BitstreamError("bitstream truncated inside band")
+    if n > count * (1 + k):  # a code holds at most 1 + k zeros: the rest follow the last
+        raise BitstreamError("trailing bits after band payload")
+    zeros = np.flatnonzero(is_zero)
     if k == 0:
         terms = zeros[:count]
     else:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis.extra import numpy as hnp
 
-from tlxs.container import HEADER_SIZE
+from tlxs.container import CODER_NONE, HEADER_SIZE, ContainerMeta, mux
 from tlxs.image import PlanarImage
 
 settings.register_profile(
@@ -48,11 +48,19 @@ def reseal(blob, pos, value):
     return bytes(header) + blob[HEADER_SIZE:]
 
 
+def base_larger_than_its_container():
+    """119 bytes: a 64x64 container around a base payload that declares
+    2000x2000, one 8-bit component at 5/2 levels, and ten zero-length bands."""
+    base = struct.pack(">4sIIBBB", b"XSB1", 2000, 2000, 1, 8, 0x52)
+    base += struct.pack(">HBI", 1, 0, 0) * 10
+    return mux(base, b"", ContainerMeta(64, 64, 1, 8, CODER_NONE))
+
+
 def overlong_band_container():
     """A 16x16 two-layer wavelet container whose extension's first band record
     declares 8 more bits than the band section holds."""
     from tlxs.base import BaseConfig
-    from tlxs.container import demux, mux
+    from tlxs.container import demux
     from tlxs.pipeline import encode_two_layer
     from tlxs.residual import _EXT_FIXED, _EXT_LEN, LosslessCoderId
     from tlxs.synthetic import natural_image

@@ -1,16 +1,21 @@
-import struct
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tlxs.base import BaseConfig, encode_base
 from tlxs.cli import main
-from tlxs.container import CODER_NONE, ContainerMeta, demux, mux
+from tlxs.container import demux, mux
 from tlxs.pipeline import bench_sweep, encode_two_layer, rows_to_csv
 from tlxs.pnm import load_pnm, store_pnm
 from tlxs.residual import parse_extension_header
-from tlxs.synthetic import natural_image
+from tlxs.synthetic import natural_image, noise_image
 
-from conftest import overlong_band_container, reseal
+from conftest import base_larger_than_its_container, overlong_band_container, reseal
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -166,14 +171,6 @@ def test_inspect_unknown_coder_id(pgm, tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
-def _base_larger_than_its_container():
-    # 119 bytes: a 64x64 container around a base payload that declares
-    # 2000x2000 with ten zero-length bands
-    base = struct.pack(">4sIIBBB", b"XSB1", 2000, 2000, 1, 8, 0x52)
-    base += struct.pack(">HBI", 1, 0, 0) * 10
-    return mux(base, b"", ContainerMeta(64, 64, 1, 8, CODER_NONE))
-
-
 def _baseless_extension_under_a_base():
     image = natural_image(16, 16, 8)
     _, ext, meta = demux(encode_two_layer(image, None))  # an 8-bit extension
@@ -184,7 +181,7 @@ def _baseless_extension_under_a_base():
     "make, message",
     [
         (
-            _base_larger_than_its_container,
+            base_larger_than_its_container,
             "base payload header (2000x2000, 1 component(s), 8-bit) disagrees with "
             "container header (64x64, 1 component(s), 8-bit)",
         ),
@@ -291,3 +288,84 @@ def test_encode_deterministic_across_invocations(pgm, tmp_path, capsys):
     main(["encode", "--input", pgm, "--output", b, "--bpp", "1.5"])
     capsys.readouterr()
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+@pytest.mark.parametrize("rate", [["--no-base"], ["--bpp", "2.0"]], ids=["no_base", "bpp2"])
+@pytest.mark.parametrize("coder", ["predictive", "wavelet"])
+@pytest.mark.parametrize("depth", [8, 16])
+@pytest.mark.parametrize("width, height", [(300, 3), (3, 300), (1, 200)])
+def test_strips_round_trip(tmp_path, capsys, width, height, depth, coder, rate):
+    # noise, so that no prediction or band is trivially zero
+    source, decoded, layered = tmp_path / "in.pgm", tmp_path / "out.pgm", str(tmp_path / "in.tlxs")
+    store_pnm(noise_image(width, height, depth), str(source))
+    encode = ["encode", "--input", str(source), "--output", layered, "--coder", coder, *rate]
+    assert main(encode) == 0
+    assert main(["decode", "--input", layered, "--output", str(decoded)]) == 0
+    assert capsys.readouterr().out.endswith("lossless: true\n")
+    assert decoded.read_bytes() == source.read_bytes()
+
+
+# `python -m tlxs` and the README's rate-sweep recipe as real processes, with their exit codes
+
+
+def _run(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=10
+    )
+
+
+def _tlxs(*args):
+    return _run("-m", "tlxs", *args)
+
+
+def test_process_round_trip_at_16_bits(tmp_path):
+    # 16 bits is where the int32 arrays have the least headroom
+    source, layered, base = tmp_path / "in.pgm", tmp_path / "in.tlxs", tmp_path / "base.pgm"
+    store_pnm(natural_image(64, 64, 16), str(source))
+    assert _tlxs("encode", "--input", source, "--output", layered).returncode == 0
+    decoded = _tlxs("decode", "--input", layered, "--output", tmp_path / "out.pgm")
+    assert (decoded.returncode, decoded.stdout) == (0, "lossless: true\n")
+    assert (tmp_path / "out.pgm").read_bytes() == source.read_bytes()
+    assert _tlxs("decode-base", "--input", layered, "--output", base).returncode == 0
+    assert base.read_bytes().startswith(b"P5\n64 64\n65535\n")
+    inspected = _tlxs("inspect", layered)
+    assert inspected.returncode == 0
+    assert "image: 64x64, 1 component(s), 16-bit" in inspected.stdout
+
+
+def test_process_usage_error_exits_2():
+    result = _tlxs("decode")
+    assert (result.returncode, "required: --input, --output" in result.stderr) == (2, True)
+
+
+def test_process_decode_of_a_pgm_exits_1(pgm, tmp_path):
+    result = _tlxs("decode", "--input", pgm, "--output", tmp_path / "x.pgm")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: container: bad container magic")
+
+
+def test_process_refuses_hostile_files(tmp_path):
+    mismatched, overlong = tmp_path / "mismatched.tlxs", tmp_path / "overlong.tlxs"
+    mismatched.write_bytes(base_larger_than_its_container())
+    overlong.write_bytes(overlong_band_container())
+    out = ["--output", tmp_path / "x.pgm"]
+    for args, message in [
+        (["decode", "--input", mismatched, *out], "disagrees with container header"),
+        (["decode-base", "--input", mismatched, *out], "disagrees with container header"),
+        (["inspect", mismatched], "disagrees with container header"),
+        (["inspect", overlong], "declared band sizes"),
+    ]:
+        result = _tlxs(*args)
+        assert (result.returncode, message in result.stderr) == (1, True), (args, result.stderr)
+
+
+def test_process_readme_rate_sweep_recipe(tmp_path):
+    corpus, csv_path = tmp_path / "corpus", tmp_path / "sweep.csv"
+    made = _run(ROOT / "scripts/make_corpus.py", "--out", corpus, "--depths", "8", "--size", "16")
+    assert made.returncode == 0
+    bench = _tlxs("bench", "--input", corpus / "natural_n8_16.pgm", "--out", csv_path)
+    assert bench.returncode == 0
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) == 11  # header, 5 targets x 2 coders
+    assert not any(line.endswith(",false") for line in lines)

@@ -1,4 +1,3 @@
-import struct
 import tracemalloc
 
 import numpy as np
@@ -26,7 +25,7 @@ from tlxs.errors import (
 from tlxs.pipeline import decode_two_layer, encode_two_layer_detailed
 from tlxs.synthetic import natural_image
 
-from conftest import reseal
+from conftest import base_larger_than_its_container, reseal
 
 
 def _meta(coder_id=1):
@@ -143,17 +142,9 @@ def test_dims_mismatch_between_headers_rejected():
         decode_base_only(blob)
 
 
-def _large_base_in_small_container():
-    # 119 bytes: a 64x64 container around a base payload that declares
-    # 2000x2000, one 8-bit component at 5/2 levels, and ten zero-length bands
-    base = struct.pack(">4sIIBBB", b"XSB1", 2000, 2000, 1, 8, 0x52)
-    base += struct.pack(">HBI", 1, 0, 0) * 10
-    return mux(base, b"", ContainerMeta(64, 64, 1, 8, CODER_NONE))
-
-
 @pytest.mark.parametrize("decode", [decode_base_only, decode_two_layer])
 def test_base_header_mismatch_rejected_before_decoding(decode):
-    blob = _large_base_in_small_container()
+    blob = base_larger_than_its_container()
     assert len(blob) == 119
     tracemalloc.start()
     try:

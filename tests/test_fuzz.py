@@ -121,11 +121,11 @@ def _refusal(decode, blob):
 def test_mutated_containers_raise_only_codec_errors(workdir, blob):
     refusal = _refusal(lambda b: decode_two_layer(b).image, blob)
     base_refusal = _refusal(decode_base_only, blob)
-    # a payload refusal names the layer it came from
+    # a container or payload refusal names the part of the file it came from
     assert all(
-        str(err).startswith(("base", "extension"))
+        str(err).startswith(("container", "base", "extension"))
         for err in (refusal, base_refusal)
-        if isinstance(err, BitstreamError)
+        if isinstance(err, (BitstreamError, ContainerError))
     )
 
     path = workdir / "mutant.tlxs"

@@ -1,5 +1,6 @@
-"""Peak traced memory of a two-layer encode or decode, per coder, and of the
-stages whose scratch should not follow the plane size.
+"""Peak traced memory of a two-layer encode or decode, per coder, of the
+stages whose scratch should not follow the plane size, and of hostile
+payloads, which must be refused within a small multiple of their size.
 
 512x512 natural images at 2 bpp, measured with tracemalloc after one
 untraced decode has filled the Rice prefix tables. The bounds sit about 10%
@@ -16,10 +17,12 @@ import pytest
 
 from tlxs import rice
 from tlxs.base import BaseConfig, decode_base
-from tlxs.container import demux
+from tlxs.container import demux, mux
+from tlxs.errors import BitstreamError
 from tlxs.image import PlanarImage
 from tlxs.pipeline import decode_two_layer, encode_two_layer
-from tlxs.residual import LosslessCoderId, _rice_ks
+from tlxs.residual import _EXT_FIXED, _EXT_LEN, _WAVELET_RECORD, LosslessCoderId, _rice_ks
+from tlxs.residual import decode_predictive, parse_extension_header
 from tlxs.synthetic import natural_image
 
 MIB = 1 << 20
@@ -102,3 +105,44 @@ def test_byte_windows_peak_per_input_byte():
     data = np.random.default_rng(6).integers(0, 256, 100_000, dtype=np.uint8).tobytes()
     peak = _peak(lambda: rice.byte_windows(data))
     assert peak <= 10 * len(data), peak / len(data)
+
+
+def _refusal_peak(call):
+    """The message of the ``BitstreamError`` that ``call`` raises, and its peak."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BitstreamError) as refusal:
+            call()
+        return str(refusal.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _zero_band_container(nbytes, k):
+    """A 64x64 no-base wavelet container whose band L is ``nbytes`` zero bytes at ``k``."""
+    _, ext, meta = demux(encode_two_layer(natural_image(64, 64, 8), None, LosslessCoderId.WAVELET))
+    part = parse_extension_header(ext, 64, 64, 1).components[0]  # the only one
+    start = part.offset + len(part.bands) * _WAVELET_RECORD.size  # band L's bits
+    end = start + (part.bands[0].bits + 7) // 8
+    comp = _WAVELET_RECORD.pack(k, 8 * nbytes) + ext[part.offset + _WAVELET_RECORD.size : start]
+    comp += bytes(nbytes) + ext[end:]
+    return mux(b"", ext[: _EXT_FIXED.size] + _EXT_LEN.pack(len(comp)) + comp, meta)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_hostile_zero_band_is_refused_before_its_zeros_are_located(k):
+    # 8 Mi zero bits where the band's 64 codes hold at most 64 (1 + k): counted,
+    # not located at 8 B each (81x the file at k = 0, 216x at k = 1)
+    blob = _zero_band_container(MIB, k)
+    message, peak = _refusal_peak(lambda: decode_two_layer(blob))
+    assert message == "extension component 0: band L at bit 400: trailing bits after band payload"
+    assert peak <= 20 * len(blob), peak / len(blob)
+
+
+def test_overlong_predictive_payload_is_refused_before_it_is_read():
+    # a 1x1 9-bit plane holds one code of at most 2**10 - 1 bits, so this MiB
+    # of ones is refused before it is read into 9 B per byte of windows
+    data = b"\xff" * MIB + b"\x00"
+    message, peak = _refusal_peak(lambda: decode_predictive(data, 1, 1, 9))
+    assert message == f"{len(data)} bytes exceed any stream of 1 samples"
+    assert peak <= 64 * 1024, peak

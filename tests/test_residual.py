@@ -99,6 +99,8 @@ def decode_predictive_oracle(data, width, height, depth):
     nbits = 8 * len(data)
     if count > nbits:  # every code takes at least one bit
         raise BitstreamError(f"{len(data)} bytes cannot hold {count} samples")
+    if nbits > count * ((2 << depth) - 1) + 7:  # every code at most its k = 0 length
+        raise BitstreamError(f"{len(data)} bytes exceed any stream of {count} samples")
     win = rice.byte_windows(data)
     m64 = (1 << 64) - 1
     max_k = rice.MAX_RICE_K
