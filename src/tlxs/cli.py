@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .base import LOSSLESS_BASE, BaseConfig
 from .container import HEADER_SIZE, decode_base_only, demux, read_headers
@@ -80,8 +81,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
         target_bpp=LOSSLESS_BASE if args.lossless_base else args.bpp,
     )
     details = encode_two_layer_detailed(image, config, _CODER_BY_NAME[args.coder])
-    with open(args.output, "wb") as handle:
-        handle.write(details.file_bytes)
+    Path(args.output).write_bytes(details.file_bytes)
     if details.overshoot:
         print("warning: target below reachable rate; coarsest stream written", file=sys.stderr)
     base_bpp = bits_per_pixel(len(details.base_bytes), image.width, image.height)
@@ -92,25 +92,20 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
-    with open(args.input, "rb") as handle:
-        data = handle.read()
-    result = decode_two_layer(data)
+    result = decode_two_layer(Path(args.input).read_bytes())
     store_pnm(result.image, args.output)
     print(f"lossless: {'true' if result.lossless else 'false'}")
     return 0
 
 
 def _cmd_decode_base(args: argparse.Namespace) -> int:
-    with open(args.input, "rb") as handle:
-        data = handle.read()
-    image = decode_base_only(data)
+    image = decode_base_only(Path(args.input).read_bytes())
     store_pnm(image, args.output)
     return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    with open(args.file, "rb") as handle:
-        data = handle.read()
+    data = Path(args.file).read_bytes()
     base, ext, meta = demux(data)
     base_info, ext_info = read_headers(base, ext, meta)
     print(f"container: {len(data)} bytes (header {HEADER_SIZE})")
@@ -154,9 +149,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise CodecError(f"unknown coder(s): {', '.join(unknown)}")
     coders = [_CODER_BY_NAME[name] for name in coder_names]
     rows = bench_sweep(image, grid, coders)
-    csv_text = rows_to_csv(rows)
-    with open(args.out, "w", encoding="ascii") as handle:
-        handle.write(csv_text)
+    Path(args.out).write_text(rows_to_csv(rows), encoding="ascii")
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -181,7 +174,3 @@ def main(argv: list[str] | None = None) -> int:
     except (CodecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,12 +31,15 @@ and then 32-sample rows, the accumulator entering each row follows from the
 row sums by a short recurrence, and within a row the mean is the entering
 accumulator plus a prefix sum over the count. It takes 1,024 rows at a time,
 carrying the accumulator from one such block to the next, so its scratch
-does not grow with the plane. The decoder cannot see ahead; it parses codes
-through the prefix table that :mod:`tlxs.rice` describes, for as long as the
-running-mean ``k`` stays the table's. A failed decode is located from the
-mapped values decoded so far, whose ``k`` schedule gives every code's length:
-the error names the first code that ends past the data, or the first sample
-out of range, by row, column and starting bit.
+does not grow with the plane. The decoder cannot see ahead. The top
+:data:`PREFIX_BITS` bits of a 64-bit window (:func:`tlxs.rice.byte_windows`)
+index a per-``k`` table (:data:`PREFIX_ROWS`) whose entry lists every
+complete code at that ``k`` the prefix begins with, so one lookup parses a
+run of short codes for as long as the running-mean ``k`` stays the table's; a
+code longer than the prefix is parsed on its own. A failed decode is located
+from the mapped values decoded so far, whose ``k`` schedule gives every
+code's length: the error names the first code that ends past the data, or
+the first sample out of range, by row, column and starting bit.
 
 Extension payload layout (big-endian)::
 
@@ -257,9 +260,58 @@ def encode_predictive(plane: np.ndarray, depth: int) -> bytes:
     return np.packbits(rice.pack_codes(mapped, _rice_ks(mapped))).tobytes()
 
 
+PREFIX_BITS = 12
+
+# PREFIX_ROWS[k][prefix] is prefix_codes(k, prefix), or None until
+# fill_prefix fills it on first use; it is kept for the process, since
+# entries depend on nothing but (k, prefix), so concurrent fills can only
+# repeat work. Every row starts as one shared unfilled row, and equal
+# (value, end) pairs share one interned tuple.
+_UNFILLED = [None] * (1 << PREFIX_BITS)
+PREFIX_ROWS = [_UNFILLED] * (rice.MAX_RICE_K + 1)
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
 # Rice parameter of every running mean with k < PREFIX_BITS: a list index
 # beats bit_length
-_K_OF_MEAN = [max(mean.bit_length() - 1, 0) for mean in range(1 << rice.PREFIX_BITS)]
+_K_OF_MEAN = [max(mean.bit_length() - 1, 0) for mean in range(1 << PREFIX_BITS)]
+
+
+def prefix_codes(k: int, prefix: int) -> tuple[tuple[int, int], ...]:
+    """Every complete code at parameter ``k`` that a ``PREFIX_BITS``-bit prefix begins with.
+
+    Codes are parsed from the prefix's most significant bit on and listed as
+    ``(mapped value, end bit)``, the end counted from the prefix's first bit;
+    the parse stops at the first code the prefix does not hold whole.
+    """
+    mask = (1 << PREFIX_BITS) - 1
+    codes = []
+    pos = 0
+    while True:
+        # ones from bit pos on; the bits shifted in past the prefix are zeros
+        q = PREFIX_BITS - (((prefix << pos) & mask) ^ mask).bit_length()
+        end = pos + q + 1 + k
+        if end > PREFIX_BITS:
+            return tuple(codes)
+        pair = ((q << k) | (prefix >> (PREFIX_BITS - end)) & ((1 << k) - 1), end)
+        codes.append(_PAIRS.setdefault(pair, pair))
+        pos = end
+
+
+def fill_prefix(k: int, prefix: int) -> tuple[tuple[int, int], ...]:
+    """Fill and return entry ``prefix`` of row ``k`` of :data:`PREFIX_ROWS`.
+
+    The prefixes that share its bits up to its last code's end, and hold no
+    further complete code, share the entry: those whose next ``r - k`` bits
+    are ones, ``r`` being the bits left after that end.
+    """
+    rows = PREFIX_ROWS
+    if rows[k] is _UNFILLED:
+        rows[k] = [None] * (1 << PREFIX_BITS)
+    codes = prefix_codes(k, prefix)
+    span = 1 << min(k, PREFIX_BITS - (codes[-1][1] if codes else 0))
+    first = prefix & -span
+    rows[k][first : first + span] = [codes] * span
+    return codes
 
 
 def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.ndarray:
@@ -278,12 +330,12 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
     if nbits > count * ((2 << depth) - 1) + 7:
         raise BitstreamError(f"{len(data)} bytes exceed any stream of {count} samples")
     win = rice.byte_windows(data)
-    rows = rice.PREFIX_ROWS
-    fill = rice.fill_prefix
+    rows = PREFIX_ROWS
+    fill = fill_prefix
     k_of_mean = _K_OF_MEAN
     means = len(k_of_mean)
-    top_shift = 64 - rice.PREFIX_BITS
-    top_mask = (1 << rice.PREFIX_BITS) - 1
+    top_shift = 64 - PREFIX_BITS
+    top_mask = (1 << PREFIX_BITS) - 1
     m64 = (1 << 64) - 1
     max_k = rice.MAX_RICE_K
     mapped = [0] * count

@@ -23,10 +23,6 @@ that bound would cost more than pointer doubling from zero 0 in
 ``ceil(log2(count))`` rounds, as on bands with few or no sync zeros, the
 decoder doubles instead. Both give the same terminators. A per-sample
 ``k`` decoder reads big-endian 64-bit windows (:func:`byte_windows`) instead.
-The top :data:`PREFIX_BITS` bits of a window index a per-``k`` table
-(:data:`PREFIX_ROWS`) whose entry lists every complete code at that ``k`` the
-prefix begins with, so one lookup parses a run of short codes for as long as
-their ``k`` holds; a code longer than the prefix is parsed on its own.
 
 Band section: the base layer and the wavelet extension coder both store a
 sequence of bands, each coded at its own cost-minimizing ``k`` (found by a
@@ -49,22 +45,12 @@ import numpy as np
 from .errors import BitstreamError
 
 MAX_RICE_K = 24
-PREFIX_BITS = 12
 _PACK_BLOCK = 1 << 15
 # What one step of the sync-zero walk costs, in jump entries read by pointer
 # doubling, charged per step of the walk's bound (real walks take a third or
 # less of it); summed over the benchmark's bands, decode time is flat for
 # values from 256 to 768.
 _WALK_STEP_COST = 512
-
-# PREFIX_ROWS[k][prefix] is prefix_codes(k, prefix), or None until
-# fill_prefix fills it on first use; it is kept for the process, since
-# entries depend on nothing but (k, prefix), so concurrent fills can only
-# repeat work. Every row starts as one shared unfilled row, and equal
-# (value, end) pairs share one interned tuple.
-_UNFILLED = [None] * (1 << PREFIX_BITS)
-PREFIX_ROWS = [_UNFILLED] * (MAX_RICE_K + 1)
-_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 def _int32_or_int64(values) -> np.ndarray:
@@ -290,21 +276,28 @@ def decode_bands(
     ``k`` must already be within ``0..MAX_RICE_K``. An index ``i`` must keep
     ``|i| * step + step // 2 <= limit``, a bound below ``2**30``; one past it
     raises ``"band NAME: coefficient out of range"`` before the int32
-    narrowing. Any other :class:`BitstreamError` inside a band is prefixed
-    with ``"band NAME at bit N"``, ``N`` counted from the start of ``data``.
+    narrowing, and a record longer than its band's longest codes is refused
+    before its bits are unpacked. Any other :class:`BitstreamError` inside a
+    band is prefixed with ``"band NAME at bit N"``, ``N`` counted from the
+    start of ``data``.
     """
     if pos + sum((r.bits + 7) // 8 for r in records) != len(data):
         raise BitstreamError("declared band sizes do not match band section length")
     for r in records:
         nbytes = (r.bits + 7) // 8
-        band_bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos))
+        count = r.width * r.height
+        top = 2 * ((limit - r.step // 2) // r.step)  # the largest mapped index
         try:
+            # no code is longer than top's, checked before 1 B per bit is unpacked
+            if r.bits > count * ((top >> r.k) + r.k + 1):
+                raise BitstreamError(f"{r.bits} bits exceed any band of {count} samples")
+            band_bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos))
             if band_bits[r.bits :].any():
                 raise BitstreamError("nonzero padding after band")
-            mapped = _decode_mapped(band_bits[: r.bits], r.width * r.height, r.k)
+            mapped = _decode_mapped(band_bits[: r.bits], count, r.k)
         except BitstreamError as err:
             raise BitstreamError(f"band {r.name} at bit {8 * pos}: {err}") from err
-        if mapped.size and int(mapped.max()) > 2 * ((limit - r.step // 2) // r.step):
+        if mapped.size and int(mapped.max()) > top:
             raise BitstreamError(f"band {r.name}: coefficient out of range")
         pos += nbytes
         yield zigzag_unmap(mapped.astype(np.int32)).reshape(r.height, r.width)
@@ -362,41 +355,3 @@ def byte_windows(data: bytes) -> memoryview:
         count = len(range(i, n + 1, 8))
         win[i::8] = np.frombuffer(padded, dtype=">u8", count=count, offset=i)
     return memoryview(win)
-
-
-def prefix_codes(k: int, prefix: int) -> tuple[tuple[int, int], ...]:
-    """Every complete code at parameter ``k`` that a ``PREFIX_BITS``-bit prefix begins with.
-
-    Codes are parsed from the prefix's most significant bit on and listed as
-    ``(mapped value, end bit)``, the end counted from the prefix's first bit;
-    the parse stops at the first code the prefix does not hold whole.
-    """
-    mask = (1 << PREFIX_BITS) - 1
-    codes = []
-    pos = 0
-    while True:
-        # ones from bit pos on; the bits shifted in past the prefix are zeros
-        q = PREFIX_BITS - (((prefix << pos) & mask) ^ mask).bit_length()
-        end = pos + q + 1 + k
-        if end > PREFIX_BITS:
-            return tuple(codes)
-        pair = ((q << k) | (prefix >> (PREFIX_BITS - end)) & ((1 << k) - 1), end)
-        codes.append(_PAIRS.setdefault(pair, pair))
-        pos = end
-
-
-def fill_prefix(k: int, prefix: int) -> tuple[tuple[int, int], ...]:
-    """Fill and return entry ``prefix`` of row ``k`` of :data:`PREFIX_ROWS`.
-
-    The prefixes that share its bits up to its last code's end, and hold no
-    further complete code, share the entry: those whose next ``r - k`` bits
-    are ones, ``r`` being the bits left after that end.
-    """
-    rows = PREFIX_ROWS
-    if rows[k] is _UNFILLED:
-        rows[k] = [None] * (1 << PREFIX_BITS)
-    codes = prefix_codes(k, prefix)
-    span = 1 << min(k, PREFIX_BITS - (codes[-1][1] if codes else 0))
-    first = prefix & -span
-    rows[k][first : first + span] = [codes] * span
-    return codes

@@ -85,8 +85,8 @@ def natural_256():
 @pytest.fixture()
 def cold_prefix_tables(monkeypatch):
     """Empty Rice prefix tables for one test; the filled ones return after it."""
-    from tlxs import rice
+    from tlxs import residual, rice
 
-    monkeypatch.setattr(rice, "PREFIX_ROWS", [rice._UNFILLED] * (rice.MAX_RICE_K + 1))
-    monkeypatch.setattr(rice, "_PAIRS", {})
-    return rice.PREFIX_ROWS
+    monkeypatch.setattr(residual, "PREFIX_ROWS", [residual._UNFILLED] * (rice.MAX_RICE_K + 1))
+    monkeypatch.setattr(residual, "_PAIRS", {})
+    return residual.PREFIX_ROWS

@@ -131,12 +131,15 @@ def _zero_band_container(nbytes, k):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_hostile_zero_band_is_refused_before_its_zeros_are_located(k):
-    # 8 Mi zero bits where the band's 64 codes hold at most 64 (1 + k): counted,
-    # not located at 8 B each (81x the file at k = 0, 216x at k = 1)
+    # 8 Mi bits where the band's 64 codes, each at most (2**16 >> k) + k + 1
+    # bits, hold at most 4 Mi: refused from the record, before the bits are
+    # unpacked at 1 B each or their zeros located at 8 B each
     blob = _zero_band_container(MIB, k)
     message, peak = _refusal_peak(lambda: decode_two_layer(blob))
-    assert message == "extension component 0: band L at bit 400: trailing bits after band payload"
-    assert peak <= 20 * len(blob), peak / len(blob)
+    assert message == (
+        "extension component 0: band L at bit 400: 8388608 bits exceed any band of 64 samples"
+    )
+    assert peak <= 2 * len(blob), peak / len(blob)
 
 
 def test_overlong_predictive_payload_is_refused_before_it_is_read():

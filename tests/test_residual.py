@@ -1,5 +1,7 @@
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import hypothesis.strategies as st
 import numpy as np
@@ -7,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 
 from tlxs import dwt, rice
+from tlxs.base import BaseConfig
 from tlxs.errors import BitstreamError, CodecError
 from tlxs.image import PlanarImage
+from tlxs.pipeline import decode_two_layer, encode_two_layer
 from tlxs.residual import (
+    PREFIX_BITS,
     LosslessCoderId,
     ResidualPlane,
     _WAVELET_RECORD,
@@ -25,8 +30,10 @@ from tlxs.residual import (
     encode_extension,
     encode_predictive,
     encode_wavelet_lossless,
+    fill_prefix,
     med_predict,
     parse_extension_header,
+    prefix_codes,
 )
 from tlxs.synthetic import natural_image
 
@@ -538,12 +545,53 @@ def coder_planes(draw):
     return laplace_plane(shape, scale, depth, draw(st.integers(0, 2**32 - 1))), depth
 
 
-def _filled_rows():
-    return [k for k, row in enumerate(rice.PREFIX_ROWS) if any(row)]
+def _filled_rows(rows):
+    return [k for k, row in enumerate(rows) if any(row)]
 
 
 class TestPrefixTableDecoder:
-    """The table-driven decoder against the one-code-per-pass oracle."""
+    """The prefix table, and the table-driven decoder against the one-code-per-pass oracle."""
+
+    @pytest.mark.parametrize(
+        "k, prefix, codes",
+        [
+            (0, 0b001111111110, ((0, 1), (0, 2), (9, 12))),  # last code ends at bit 12
+            (0, 0b001111111111, ((0, 1), (0, 2))),  # ... and at bit 13: not held
+            (0, 0b111111111110, ((11, 12),)),
+            (0, 0b111111111111, ()),
+            (2, 0b000110111011, ((0, 3), (11, 8), (7, 12))),
+            (11, 0b000000000001, ((1, 12),)),
+            (12, 0, ()),
+            (rice.MAX_RICE_K, 0, ()),
+        ],
+    )
+    def test_prefix_codes_examples(self, k, prefix, codes):
+        assert prefix_codes(k, prefix) == codes
+
+    @pytest.mark.parametrize("k", range(PREFIX_BITS + 1))
+    def test_prefix_codes_are_every_complete_code(self, k):
+        for prefix in range(1 << PREFIX_BITS):
+            bits = [(prefix >> (PREFIX_BITS - 1 - i)) & 1 for i in range(PREFIX_BITS)]
+            codes = prefix_codes(k, prefix)
+            end = codes[-1][1] if codes else 0
+            packed = rice.pack_codes(np.array([m for m, _ in codes], dtype=np.int64), k)
+            assert packed.tolist() == bits[:end]
+            lengths = [(m >> k) + 1 + k for m, _ in codes]
+            assert [e for _, e in codes] == np.cumsum(lengths, dtype=np.int64).tolist()
+            # no further code fits: no zero before the last k bits of the rest
+            assert all(bits[end : PREFIX_BITS - k])
+
+    def test_fill_prefix_shares_only_equal_entries(self, cold_prefix_tables):
+        rows = cold_prefix_tables
+        rng = np.random.default_rng(5)
+        for k in (0, 1, 3, 8, 11, 12, rice.MAX_RICE_K):
+            for prefix in rng.permutation(1 << PREFIX_BITS).tolist():
+                if rows[k][prefix] is None:
+                    assert fill_prefix(k, prefix) == prefix_codes(k, prefix)
+            assert rows[k] == [prefix_codes(k, p) for p in range(1 << PREFIX_BITS)]
+        # equal pairs are one object
+        pairs = [pair for k in (0, 1, 3) for entry in rows[k] for pair in entry]
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))
 
     @given(coder_planes(), st.data())
     @settings(max_examples=200)
@@ -566,7 +614,7 @@ class TestPrefixTableDecoder:
         # three 1-bit zeros, then a code of last + 1 bits ends at bit 12 or 13
         plane, payload = stream_of_mapped([0, 0, 0, last] + [0] * 20)
         top = int.from_bytes(payload[:2], "big") >> 4
-        assert len(rice.prefix_codes(0, top)) == codes
+        assert len(prefix_codes(0, top)) == codes
         assert np.array_equal(assert_decodes_like_oracle(payload, plane.shape[1], 1, 17), plane)
 
     @pytest.mark.parametrize("j", range(4))
@@ -574,7 +622,7 @@ class TestPrefixTableDecoder:
         # the stream's first group: j zeros, then a value that lifts the mean to 2
         mapped = [0] * j + [2 * (j + 1)] + [0] * 20
         assert oracle_ks(mapped)[j : j + 2].tolist() == [0, 1]
-        assert 3 * j + 3 <= rice.PREFIX_BITS
+        assert 3 * j + 3 <= PREFIX_BITS
         plane, payload = stream_of_mapped(mapped)
         assert np.array_equal(assert_decodes_like_oracle(payload, plane.shape[1], 1, 17), plane)
 
@@ -596,8 +644,8 @@ class TestPrefixTableDecoder:
         # after them bring k back under the prefix width
         mapped = [1 << 14, (1 << 14) + 1] * 100 + [0] * zeros
         ks = oracle_ks(mapped)
-        assert min(ks[1:200]) >= rice.PREFIX_BITS
-        assert zeros == 0 or ks[-1] < rice.PREFIX_BITS
+        assert min(ks[1:200]) >= PREFIX_BITS
+        assert zeros == 0 or ks[-1] < PREFIX_BITS
         plane, payload = stream_of_mapped(mapped)
         width = plane.shape[1]
         assert np.array_equal(assert_decodes_like_oracle(payload, width, 1, 17), plane)
@@ -607,7 +655,7 @@ class TestPrefixTableDecoder:
         plane = laplace_plane((64, 64), 3, 13, seed=4)
         payload = encode_predictive(plane, 13)
         cold = decode_predictive(payload, 64, 64, 13)
-        assert _filled_rows()
+        assert _filled_rows(cold_prefix_tables)
         warm = decode_predictive(payload, 64, 64, 13)
         assert np.array_equal(cold, plane) and np.array_equal(warm, plane)
 
@@ -623,8 +671,28 @@ class TestPrefixTableDecoder:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert set(_filled_rows()) >= set(range(10))
+        assert set(_filled_rows(cold_prefix_tables)) >= set(range(10))
         assert retained <= 1.5 * 2**20
+
+    def test_concurrent_decodes_share_the_tables(self, cold_prefix_tables, natural_256):
+        # 8 threads race to fill the empty rows, switching every 10 us so that
+        # fills interleave; a repeated fill writes equal entries
+        planes = [natural_image(256, 256, 8, seed=seed).planes[0] for seed in (4, 5, 6)]
+        images = (natural_256, PlanarImage.from_planes(planes, 8))
+        config = BaseConfig(target_bpp=2.0)
+        blobs = [encode_two_layer(image, config, LosslessCoderId.PREDICTIVE) for image in images]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(decode_two_layer, blobs * 8, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert _filled_rows(cold_prefix_tables)
+        single = [decode_two_layer(blob) for blob in blobs]
+        assert [result.image for result in single] == list(images)
+        assert results == single * 8
+
 
 
 class TestPredictiveErrorLocation:

@@ -11,15 +11,14 @@ from tlxs import rice
 from tlxs.errors import BitstreamError
 from tlxs.rice import (
     MAX_RICE_K,
-    PREFIX_BITS,
     BandRecord,
+    byte_windows,
     choose_rice_k,
     decode_band,
     decode_bands,
     encode_band,
     encode_bands,
     pack_codes,
-    prefix_codes,
     read_records,
     rice_bit_cost,
     zigzag_map,
@@ -634,6 +633,19 @@ def test_bands_bound_edges(bound, excess):
         assert np.array_equal(out, band)
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_bands_longer_than_their_longest_codes_rejected(k):
+    # at bound 5 the longest code is mapped 10's, (10 >> k) + k + 1 bits
+    bits = encode_band(np.array([5]), k)
+    assert bits.size == (10 >> k) + k + 1
+    record = BandRecord("X", 0, 1, 1, 1, k, bits.size)
+    (out,) = decode_bands(np.packbits(bits).tobytes(), 0, [record], 5)
+    assert out.tolist() == [[5]]
+    longer = np.packbits(np.append(bits, 0)).tobytes()
+    message = f"^band X at bit 0: {bits.size + 1} bits exceed any band of 1 samples$"
+    with pytest.raises(BitstreamError, match=message):
+        list(decode_bands(longer, 0, [record._replace(bits=bits.size + 1)], 5))
+
 def test_decode_band_returns_int64():
     values = np.arange(-512, 513, dtype=np.int64)
     for k in (0, 3, 10):
@@ -738,45 +750,91 @@ def test_rice_k_past_the_largest_rejected_in_both_layers(layer):
             parse_extension_header(bytes(payload), 32, 16, 1)
 
 
-@pytest.mark.parametrize(
-    "k, prefix, codes",
-    [
-        (0, 0b001111111110, ((0, 1), (0, 2), (9, 12))),  # last code ends at bit 12
-        (0, 0b001111111111, ((0, 1), (0, 2))),  # ... and at bit 13: not held
-        (0, 0b111111111110, ((11, 12),)),
-        (0, 0b111111111111, ()),
-        (2, 0b000110111011, ((0, 3), (11, 8), (7, 12))),
-        (11, 0b000000000001, ((1, 12),)),
-        (12, 0, ()),
-        (MAX_RICE_K, 0, ()),
-    ],
-)
-def test_prefix_codes_examples(k, prefix, codes):
-    assert prefix_codes(k, prefix) == codes
+# Bit-level I/O of the band section: MSB-first packing, zero padding to a
+# byte, fixed-width field reads through the 64-bit windows of byte_windows,
+# and truncation.
 
 
-@pytest.mark.parametrize("k", range(PREFIX_BITS + 1))
-def test_prefix_codes_are_every_complete_code(k):
-    for prefix in range(1 << PREFIX_BITS):
-        bits = [(prefix >> (PREFIX_BITS - 1 - i)) & 1 for i in range(PREFIX_BITS)]
-        codes = prefix_codes(k, prefix)
-        end = codes[-1][1] if codes else 0
-        packed = pack_codes(np.array([m for m, _ in codes], dtype=np.int64), k)
-        assert packed.tolist() == bits[:end]
-        lengths = [(m >> k) + 1 + k for m, _ in codes]
-        assert [e for _, e in codes] == np.cumsum(lengths, dtype=np.int64).tolist()
-        # no further code fits: no zero before the last k bits of the rest
-        assert all(bits[end : PREFIX_BITS - k])
+def _field_bits(fields):
+    """0/1 array of each ``(value, width)`` field, most significant bit first."""
+    bits = [(value >> (width - 1 - i)) & 1 for value, width in fields for i in range(width)]
+    return np.asarray(bits, dtype=np.uint8)
 
 
-def test_fill_prefix_shares_only_equal_entries(cold_prefix_tables):
-    rows = cold_prefix_tables
-    rng = np.random.default_rng(5)
-    for k in (0, 1, 3, 8, 11, 12, MAX_RICE_K):
-        for prefix in rng.permutation(1 << PREFIX_BITS).tolist():
-            if rows[k][prefix] is None:
-                assert rice.fill_prefix(k, prefix) == prefix_codes(k, prefix)
-        assert rows[k] == [prefix_codes(k, p) for p in range(1 << PREFIX_BITS)]
-    # equal pairs are one object
-    pairs = [pair for k in (0, 1, 3) for entry in rows[k] for pair in entry]
-    assert len({id(pair) for pair in pairs}) == len(set(pairs))
+def _read_field(windows, pos, width):
+    """``width`` bits from bit ``pos``, read the way the predictive decoder does."""
+    return ((windows[pos >> 3] << (pos & 7)) & ((1 << 64) - 1)) >> (64 - width)
+
+
+def test_msb_first_packing():
+    # mapped value 0b101 at k=3: no unary ones, the terminator "0", then "101"
+    bits = pack_codes(np.array([0b101]), np.array([3]))
+    assert bits.tolist() == [0, 1, 0, 1]
+    assert np.packbits(bits).tobytes() == bytes([0b01010000])
+
+
+def test_align_pads_zeros():
+    # zigzag(-1) = 1 at k=0 codes as "10"; the section pads it to one byte
+    records, payload = encode_bands([np.array([-1])])
+    assert records == [(0, 2)]
+    assert len(payload) * 8 == 8
+    assert payload == bytes([0x80])
+
+
+def test_reader_roundtrip_fields():
+    bits = _field_bits([(0xABC, 12), (5, 3)])
+    windows = byte_windows(np.packbits(bits).tobytes())
+    assert len(windows) == 3
+    assert _read_field(windows, 0, 12) == 0xABC
+    assert _read_field(windows, 12, 3) == 5
+    # past the end the window reads as zero padding
+    assert _read_field(windows, 15, 8) == 0
+    assert windows[2] == 0
+
+
+def test_reader_truncation():
+    # nine bits declared, one byte present
+    with pytest.raises(BitstreamError):
+        list(decode_bands(b"\xff", 0, [BandRecord("0", 0, 1, 1, 1, 0, 9)], 1))
+    with pytest.raises(BitstreamError):
+        list(decode_bands(b"", 0, [BandRecord("0", 0, 1, 1, 1, 0, 1)], 1))
+
+
+def test_bit_array_roundtrip():
+    band = np.array([-1, 0, 3, -2, 1], dtype=np.int64)
+    records, payload = encode_bands([band])
+    (k, nbits), = records
+    bits = encode_band(band, k)
+    assert nbits == bits.size
+    unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    assert np.array_equal(unpacked[: bits.size], bits)
+    assert np.all(unpacked[bits.size :] == 0)
+    (out,) = decode_bands(payload, 0, [BandRecord("0", 0, band.size, 1, 1, k, nbits)], 3)
+    assert np.array_equal(out, band.reshape(1, -1))
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, MAX_RICE_K)), max_size=30))
+def test_field_sequences_roundtrip(fields):
+    kept = [(value & ((1 << width) - 1), width) for value, width in fields]
+    windows = byte_windows(np.packbits(_field_bits(kept)).tobytes())
+    pos = 0
+    for value, width in kept:
+        assert _read_field(windows, pos, width) == value
+        pos += width
+
+
+def _window_oracle(data, pos):
+    return int.from_bytes(data[pos : pos + 8].ljust(8, b"\0"), "big")
+
+
+@pytest.mark.parametrize("size", range(41))
+def test_byte_windows_match_big_endian_reads(size):
+    data = bytes(range(251, 251 - size, -1))
+    windows = byte_windows(data)
+    assert windows.tolist() == [_window_oracle(data, p) for p in range(size + 1)]
+
+
+def test_byte_windows_of_a_long_payload():
+    data = np.random.default_rng(8).integers(0, 256, 100_000, dtype=np.uint8).tobytes()
+    windows = byte_windows(data)
+    assert windows.tolist() == [_window_oracle(data, p) for p in range(len(data) + 1)]
