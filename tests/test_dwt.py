@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from tlxs.base import MAX_STEP, dequantize_deadzone, quantize_deadzone
 from tlxs.dwt import (
+    _MERGE_ROWS,
     MAX_MAGNITUDE,
     band_dimensions,
     decompose,
@@ -240,7 +241,21 @@ def test_decompose_and_recompose_match_oracle(width, height, levels_h, levels_v,
     assert np.array_equal(out, plane)
 
 
-@pytest.mark.parametrize("width, height", [(512, 512), (37, 21), (2, 64), (64, 1)])
+@pytest.mark.parametrize(
+    "width, height",
+    [
+        (512, 512),
+        (37, 21),
+        (2, 64),
+        (64, 1),
+        # heights about the horizontal merge's row blocks
+        (37, _MERGE_ROWS - 1),
+        (1, _MERGE_ROWS),
+        (2, _MERGE_ROWS + 1),
+        (35, 2 * _MERGE_ROWS + 1),
+        (2, 2 * _MERGE_ROWS + 1),
+    ],
+)
 def test_recompose_reads_broadcast_zero_and_strided_bands(width, height):
     # what decode_base passes: read-only zero views for empty bands, and
     # bands that are views into larger arrays
