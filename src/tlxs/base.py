@@ -256,8 +256,10 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
     if not 1 <= levels_h <= 6 or levels_v > min(2, levels_h):
         raise BitstreamError(f"base payload: bad decomposition levels {levels_h}/{levels_v}")
     layout = dwt.band_dimensions(width, height, levels_h, levels_v)
+    # |i| * step + step // 2 <= limit for every index the section reader yields
+    limit = (1 << (bit_depth + levels_h + levels_v + 1)) + MAX_STEP
     records = rice.read_records(
-        payload, _FIXED.size, layout, range(components), _RECORD, "base payload: "
+        payload, _FIXED.size, layout, range(components), _RECORD, "base payload: ", limit
     )
     return BaseStreamInfo(
         width=width,
@@ -274,11 +276,7 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
 def decode_base(payload: bytes) -> PlanarImage:
     """Reconstruct the base image; bit-exact mirror of the encoder's own view."""
     info = parse_base_header(payload)
-    # |i| * step + step // 2 <= limit for every index the section reader yields
-    limit = (1 << (info.bit_depth + info.levels_h + info.levels_v + 1)) + MAX_STEP
-    coded = rice.decode_bands(
-        payload, info.data_offset, [r for r in info.records if r.bits], limit
-    )
+    coded = rice.decode_bands(payload, info.data_offset, [r for r in info.records if r.bits])
     planes = []
     for comp in range(info.components):
         # zero-length convention: every index, so every coefficient, is zero;

@@ -470,16 +470,23 @@ def encode_wavelet_lossless(plane: np.ndarray, depth: int) -> bytes:
     return b"".join(_WAVELET_RECORD.pack(k, bits) for k, bits in records) + section
 
 
+def _wavelet_records(
+    data: bytes | memoryview, width: int, height: int, depth: int, comp: int, where: str
+) -> tuple[rice.BandRecord, ...]:
+    """The record table of one wavelet component payload, judged by :func:`rice.read_records`."""
+    layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
+    limit = 1 << (depth + 2 * _WAVELET_LEVELS + 1)
+    return rice.read_records(data, 0, layout, (comp,), _WAVELET_RECORD, where, limit)
+
+
 def decode_wavelet_lossless(
     data: bytes, width: int, height: int, depth: int
 ) -> np.ndarray:
     """Exact inverse of :func:`encode_wavelet_lossless`."""
     if width < 1 or height < 1:
         raise CodecError("empty plane dimensions")
-    layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
-    records = rice.read_records(data, 0, layout, (0,), _WAVELET_RECORD, "")
-    limit = 1 << (depth + 2 * _WAVELET_LEVELS + 1)
-    bands = rice.decode_bands(data, _WAVELET_RECORD.size * len(records), records, limit)
+    records = _wavelet_records(data, width, height, depth, 0, "")
+    bands = rice.decode_bands(data, _WAVELET_RECORD.size * len(records), records)
     samples = dwt.recompose(list(bands), width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     if int(samples.min()) < 0 or int(samples.max()) >> depth:
         # the first in raster order; no bit locates it, as the inverse mixes bands
@@ -544,7 +551,6 @@ def parse_extension_header(
         raise BitstreamError(f"extension payload: unknown lossless coder id {coder_value}") from None
     if not 2 <= depth <= 17:
         raise BitstreamError(f"extension payload: bad extension depth {depth}")
-    layout = dwt.band_dimensions(width, height, _WAVELET_LEVELS, _WAVELET_LEVELS)
     parts = []
     pos = _EXT_FIXED.size
     for comp in range(components):
@@ -558,7 +564,7 @@ def parse_extension_header(
         if coder == LosslessCoderId.WAVELET:
             payload = memoryview(data)[pos : pos + length]
             where = f"extension component {comp}: "
-            bands = rice.read_records(payload, 0, layout, (comp,), _WAVELET_RECORD, where)
+            bands = _wavelet_records(payload, width, height, depth, comp, where)
         parts.append(ExtensionComponent(pos, length, bands))
         pos += length
     if pos != len(data):

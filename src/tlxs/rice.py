@@ -30,9 +30,10 @@ local search on the convex coded length, see :func:`choose_rice_k`) and
 zero-padded to a byte boundary, MSB first, with no separators. A record
 table in front of it, which :func:`read_records` reads for both layers,
 declares each band's ``k``, coded length in bits and, in the base, step.
-:func:`encode_bands` writes the section and :func:`decode_bands` reads it
-straight from those :class:`BandRecord` s, checking every value against its
-band's bound while it is still int64, so no int32 band is ever wrapped.
+:func:`read_records` judges every record against its layer's index limit,
+:func:`encode_bands` writes the section, and :func:`decode_bands` trusts the
+records it is handed, checking every value against its band's bound while
+it is still int64, so no int32 band is ever wrapped.
 """
 
 from __future__ import annotations
@@ -264,40 +265,31 @@ class BandRecord(NamedTuple):
     step: int
     k: int
     bits: int
+    top: int  # the largest zigzag-mapped index the layer allows at step
 
 
 def decode_bands(
-    data: bytes | memoryview, pos: int, records: Sequence[BandRecord], limit: int
+    data: bytes | memoryview, pos: int, records: Sequence[BandRecord]
 ) -> Iterator[np.ndarray]:
     """Yield each record's band as int32 of shape ``(height, width)``.
 
-    ``data`` from byte ``pos`` on must be exactly the section
-    :func:`encode_bands` wrote for ``records``, which is checked first. Every
-    ``k`` must already be within ``0..MAX_RICE_K``. An index ``i`` must keep
-    ``|i| * step + step // 2 <= limit``, a bound below ``2**30``; one past it
-    raises ``"band NAME: coefficient out of range"`` before the int32
-    narrowing, and a record longer than its band's longest codes is refused
-    before its bits are unpacked. Any other :class:`BitstreamError` inside a
-    band is prefixed with ``"band NAME at bit N"``, ``N`` counted from the
-    start of ``data``.
+    ``data`` from byte ``pos`` on holds the section :func:`encode_bands`
+    wrote for ``records``, as :func:`read_records` judged them. A mapped
+    index above its record's ``top`` raises ``"band NAME: coefficient out of
+    range"`` before the int32 narrowing. Any other :class:`BitstreamError`
+    inside a band is prefixed with ``"band NAME at bit N"``, ``N`` counted
+    from the start of ``data``.
     """
-    if pos + sum((r.bits + 7) // 8 for r in records) != len(data):
-        raise BitstreamError("declared band sizes do not match band section length")
     for r in records:
         nbytes = (r.bits + 7) // 8
-        count = r.width * r.height
-        top = 2 * ((limit - r.step // 2) // r.step)  # the largest mapped index
         try:
-            # no code is longer than top's, checked before 1 B per bit is unpacked
-            if r.bits > count * ((top >> r.k) + r.k + 1):
-                raise BitstreamError(f"{r.bits} bits exceed any band of {count} samples")
             band_bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=nbytes, offset=pos))
             if band_bits[r.bits :].any():
                 raise BitstreamError("nonzero padding after band")
-            mapped = _decode_mapped(band_bits[: r.bits], count, r.k)
+            mapped = _decode_mapped(band_bits[: r.bits], r.width * r.height, r.k)
         except BitstreamError as err:
             raise BitstreamError(f"band {r.name} at bit {8 * pos}: {err}") from err
-        if mapped.size and int(mapped.max()) > top:
+        if mapped.size and int(mapped.max()) > r.top:
             raise BitstreamError(f"band {r.name}: coefficient out of range")
         pos += nbytes
         yield zigzag_unmap(mapped.astype(np.int32)).reshape(r.height, r.width)
@@ -310,10 +302,13 @@ def read_records(
     components: Sequence[int],
     record: struct.Struct,
     where: str,
+    limit: int,
 ) -> tuple[BandRecord, ...]:
     """Read the table at ``pos``: per component, one ``record`` per band of ``layout``.
 
     A record unpacks to ``(step, k, bits)``, or to ``(k, bits)`` at step 1.
+    Every index must keep ``|i| * step + step // 2 <= limit`` (below ``2**30``),
+    and a record longer than its samples' longest codes under it is refused.
     The bands, each padded to a byte, must end exactly where ``data`` ends.
     Errors begin with ``where``, which names the payload.
     """
@@ -329,7 +324,12 @@ def read_records(
                 raise BitstreamError(f"{where}band {name} declares step 0")
             if k > MAX_RICE_K:
                 raise BitstreamError(f"{where}band {name} declares rice k {k}")
-            records.append(BandRecord(name, comp, width, height, step, k, bits))
+            count = width * height
+            top = 2 * ((limit - step // 2) // step)  # the largest mapped index
+            if bits > count * ((top >> k) + k + 1):  # no code is longer than top's
+                message = f"{bits} bits exceed any band of {count} samples"
+                raise BitstreamError(f"{where}band {name} at bit {8 * end}: {message}")
+            records.append(BandRecord(name, comp, width, height, step, k, bits, top))
             end += (bits + 7) // 8
     if end != len(data):
         raise BitstreamError(f"{where}declared band sizes do not match payload length")
@@ -342,16 +342,10 @@ def byte_windows(data: bytes) -> memoryview:
     One window per byte offset ``0..len(data)``; bytes past the end read as
     zero. The 64 bits from bit position ``pos`` (MSB first) are
     ``(win[pos >> 3] << (pos & 7)) & (2**64 - 1)``, of which at least the top
-    57 are stream bits or zero padding. The windows stay in one uint64 array,
-    8 bytes each, and indexing the view gives Python ints. Windows
-    ``i, i + 8, ...`` are consecutive big-endian words of the zero-padded
-    bytes from offset ``i``, so each of the eight strided slices is filled
-    from a view of them: 9 bytes per input byte in all, with the padded copy.
+    57 are stream bits or zero padding. One strided big-endian view of the
+    zero-padded copy becomes native uint64: 9 bytes per input byte in all.
+    Indexing the view gives Python ints.
     """
-    n = len(data)
-    padded = bytes(data) + bytes(8)  # the window at n reads bytes n..n+7
-    win = np.empty(n + 1, dtype=np.uint64)
-    for i in range(8):
-        count = len(range(i, n + 1, 8))
-        win[i::8] = np.frombuffer(padded, dtype=">u8", count=count, offset=i)
-    return memoryview(win)
+    padded = bytes(data) + bytes(8)  # the window at len(data) reads its 8 zeros
+    view = np.ndarray(len(data) + 1, dtype=">u8", buffer=padded, strides=(1,))
+    return memoryview(view.astype(np.uint64))

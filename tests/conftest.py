@@ -75,6 +75,28 @@ def overlong_band_container():
     return mux(base, bytes(ext), meta)
 
 
+def zero_band_container(nbytes, k):
+    """A 64x64 no-base wavelet container whose band L is ``nbytes`` zero bytes at ``k``."""
+    from tlxs.container import demux
+    from tlxs.pipeline import encode_two_layer
+    from tlxs.residual import (
+        _EXT_FIXED,
+        _EXT_LEN,
+        _WAVELET_RECORD,
+        LosslessCoderId,
+        parse_extension_header,
+    )
+    from tlxs.synthetic import natural_image
+
+    _, ext, meta = demux(encode_two_layer(natural_image(64, 64, 8), None, LosslessCoderId.WAVELET))
+    part = parse_extension_header(ext, 64, 64, 1).components[0]  # the only one
+    start = part.offset + len(part.bands) * _WAVELET_RECORD.size  # band L's bits
+    end = start + (part.bands[0].bits + 7) // 8
+    comp = _WAVELET_RECORD.pack(k, 8 * nbytes) + ext[part.offset + _WAVELET_RECORD.size : start]
+    comp += bytes(nbytes) + ext[end:]
+    return mux(b"", ext[: _EXT_FIXED.size] + _EXT_LEN.pack(len(comp)) + comp, meta)
+
+
 @pytest.fixture(scope="session")
 def natural_256():
     from tlxs.synthetic import natural_image

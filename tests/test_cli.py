@@ -5,15 +5,21 @@ from pathlib import Path
 
 import pytest
 
-from tlxs.base import BaseConfig, encode_base
+from tlxs.base import MAX_STEP, BaseConfig, encode_base
 from tlxs.cli import main
-from tlxs.container import demux, mux
+from tlxs.container import CODER_NONE, ContainerMeta, demux, mux
 from tlxs.pipeline import bench_sweep, encode_two_layer, rows_to_csv
 from tlxs.pnm import load_pnm, store_pnm
 from tlxs.residual import parse_extension_header
 from tlxs.synthetic import natural_image, noise_image
 
-from conftest import base_larger_than_its_container, overlong_band_container, reseal
+from conftest import (
+    base_larger_than_its_container,
+    overlong_band_container,
+    reseal,
+    zero_band_container,
+)
+from test_base import _one_band_payload
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -177,6 +183,11 @@ def _baseless_extension_under_a_base():
     return mux(encode_base(image, BaseConfig(target_bpp=2.0)), ext, meta)
 
 
+def _one_sample_base_of_131097_bits():
+    # index 2**40 at the largest step: a code far longer than the index bound allows
+    return mux(_one_band_payload(1 << 40, MAX_STEP), b"", ContainerMeta(1, 1, 1, 16, CODER_NONE))
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -186,8 +197,21 @@ def _baseless_extension_under_a_base():
             "container header (64x64, 1 component(s), 8-bit)",
         ),
         (_baseless_extension_under_a_base, "extension depth 8 does not match expected depth 9"),
+        (
+            lambda: zero_band_container(1 << 20, 0),
+            "extension component 0: band L at bit 400: 8388608 bits exceed any band of 64 samples",
+        ),
+        (
+            _one_sample_base_of_131097_bits,
+            "base payload: band L at bit 736: 131097 bits exceed any band of 1 samples",
+        ),
     ],
-    ids=["base_2000x2000_in_64x64", "ext_depth_8_under_base"],
+    ids=[
+        "base_2000x2000_in_64x64",
+        "ext_depth_8_under_base",
+        "ext_band_L_of_8388608_bits",
+        "base_band_L_of_131097_bits",
+    ],
 )
 def test_inspect_refuses_what_decode_refuses_from_the_headers(tmp_path, capsys, make, message):
     path = tmp_path / "bad.tlxs"

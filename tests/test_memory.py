@@ -17,14 +17,15 @@ import pytest
 
 from tlxs import rice
 from tlxs.base import BaseConfig, decode_base
-from tlxs.container import demux, mux
+from tlxs.container import demux
 from tlxs.dwt import decompose, recompose
 from tlxs.errors import BitstreamError
 from tlxs.image import PlanarImage
 from tlxs.pipeline import decode_two_layer, encode_two_layer
-from tlxs.residual import _EXT_FIXED, _EXT_LEN, _WAVELET_RECORD, LosslessCoderId, _rice_ks
-from tlxs.residual import decode_predictive, parse_extension_header
+from tlxs.residual import LosslessCoderId, _rice_ks, decode_predictive
 from tlxs.synthetic import natural_image
+
+from conftest import zero_band_container
 
 MIB = 1 << 20
 
@@ -130,23 +131,12 @@ def _refusal_peak(call):
         tracemalloc.stop()
 
 
-def _zero_band_container(nbytes, k):
-    """A 64x64 no-base wavelet container whose band L is ``nbytes`` zero bytes at ``k``."""
-    _, ext, meta = demux(encode_two_layer(natural_image(64, 64, 8), None, LosslessCoderId.WAVELET))
-    part = parse_extension_header(ext, 64, 64, 1).components[0]  # the only one
-    start = part.offset + len(part.bands) * _WAVELET_RECORD.size  # band L's bits
-    end = start + (part.bands[0].bits + 7) // 8
-    comp = _WAVELET_RECORD.pack(k, 8 * nbytes) + ext[part.offset + _WAVELET_RECORD.size : start]
-    comp += bytes(nbytes) + ext[end:]
-    return mux(b"", ext[: _EXT_FIXED.size] + _EXT_LEN.pack(len(comp)) + comp, meta)
-
-
 @pytest.mark.parametrize("k", [0, 1])
 def test_hostile_zero_band_is_refused_before_its_zeros_are_located(k):
     # 8 Mi bits where the band's 64 codes, each at most (2**16 >> k) + k + 1
     # bits, hold at most 4 Mi: refused from the record, before the bits are
     # unpacked at 1 B each or their zeros located at 8 B each
-    blob = _zero_band_container(MIB, k)
+    blob = zero_band_container(MIB, k)
     message, peak = _refusal_peak(lambda: decode_two_layer(blob))
     assert message == (
         "extension component 0: band L at bit 400: 8388608 bits exceed any band of 64 samples"

@@ -575,10 +575,15 @@ def test_chosen_k_at_every_start_point(k_mean, n):
 _BOUND = (1 << 30) - 1
 
 
+def _record(name, width, height, k, bits, bound=_BOUND):
+    """A component 0 record at step 1 whose indices keep ``|i| <= bound``."""
+    return BandRecord(name, 0, width, height, 1, k, bits, 2 * bound)
+
+
 def _records(bands, coded):
     """Band ``i`` as a record named ``i`` of shape ``(1, len(band))`` at step 1."""
     return [
-        BandRecord(str(i), 0, len(band), 1, 1, k, bits)
+        _record(str(i), len(band), 1, k, bits)
         for i, (band, (k, bits)) in enumerate(zip(bands, coded))
     ]
 
@@ -597,7 +602,7 @@ def test_bands_roundtrip(bands):
     records, payload = encode_bands(bands)
     assert [k for k, _ in records] == [chosen_k(b) for b in bands]
     assert len(payload) == sum((bits + 7) // 8 for _, bits in records)
-    out = list(decode_bands(payload, 0, _records(bands, records), _BOUND))
+    out = list(decode_bands(payload, 0, _records(bands, records)))
     assert len(out) == len(bands)
     for got, want in zip(out, bands):
         assert np.array_equal(got, want.reshape(1, -1))
@@ -607,7 +612,7 @@ def test_bands_roundtrip(bands):
 def test_bands_roundtrip_property(bands):
     bands = [np.asarray(band, dtype=np.int64) for band in bands]
     records, payload = encode_bands(bands)
-    out = list(decode_bands(payload, 0, _records(bands, records), _BOUND))
+    out = list(decode_bands(payload, 0, _records(bands, records)))
     assert all(np.array_equal(a, b.reshape(1, -1)) for a, b in zip(out, bands))
 
 
@@ -621,9 +626,7 @@ def test_bands_bound_edges(bound, excess):
     band[1, 2] = value
     band[2, 4] = -bound
     records, payload = encode_bands([band])
-    decoded = decode_bands(
-        payload, 0, [BandRecord("X", 0, 5, 3, 1, k, bits) for k, bits in records], bound
-    )
+    decoded = decode_bands(payload, 0, [_record("X", 5, 3, k, bits, bound) for k, bits in records])
     if excess > 0:
         with pytest.raises(BitstreamError, match="^band X: coefficient out of range$"):
             list(decoded)
@@ -635,16 +638,21 @@ def test_bands_bound_edges(bound, excess):
 
 @pytest.mark.parametrize("k", range(4))
 def test_bands_longer_than_their_longest_codes_rejected(k):
-    # at bound 5 the longest code is mapped 10's, (10 >> k) + k + 1 bits
+    # limit 5 at step 1 and limit 11 at step 2 both keep |i| <= 5, so the
+    # longest code is mapped 10's, (10 >> k) + k + 1 bits
     bits = encode_band(np.array([5]), k)
     assert bits.size == (10 >> k) + k + 1
-    record = BandRecord("X", 0, 1, 1, 1, k, bits.size)
-    (out,) = decode_bands(np.packbits(bits).tobytes(), 0, [record], 5)
-    assert out.tolist() == [[5]]
     longer = np.packbits(np.append(bits, 0)).tobytes()
-    message = f"^band X at bit 0: {bits.size + 1} bits exceed any band of 1 samples$"
-    with pytest.raises(BitstreamError, match=message):
-        list(decode_bands(longer, 0, [record._replace(bits=bits.size + 1)], 5))
+    for record, step, limit in (struct.Struct(">BI"), (), 5), (struct.Struct(">HBI"), (2,), 11):
+        data = record.pack(*step, k, bits.size) + np.packbits(bits).tobytes()
+        (x,) = read_records(data, 0, [("X", 1, 1)], (0,), record, "", limit)
+        (out,) = decode_bands(data, record.size, [x])
+        assert x.top == 10 and out.tolist() == [[5]]
+        data = record.pack(*step, k, bits.size + 1) + longer
+        message = f"^band X at bit {8 * record.size}: {bits.size + 1} bits exceed any band of 1 "
+        with pytest.raises(BitstreamError, match=message + "samples$"):
+            read_records(data, 0, [("X", 1, 1)], (0,), record, "", limit)
+
 
 def test_decode_band_returns_int64():
     values = np.arange(-512, 513, dtype=np.int64)
@@ -664,9 +672,8 @@ def test_bands_packed_msb_first_and_zero_padded():
 
 def test_bands_set_padding_bit_rejected():
     _, payload = encode_bands([np.array([3])])
-    record = BandRecord("0", 0, 1, 1, 1, 2, 4)
     with pytest.raises(BitstreamError):
-        list(decode_bands(bytes([payload[0] | 0x01]), 0, [record], _BOUND))
+        list(decode_bands(bytes([payload[0] | 0x01]), 0, [_record("0", 1, 1, 2, 4)]))
 
 
 def test_bands_count_above_bits_rejected():
@@ -674,16 +681,7 @@ def test_bands_count_above_bits_rejected():
     records, payload = encode_bands([np.zeros(4, dtype=np.int64)])
     assert records == [(0, 4)]
     with pytest.raises(BitstreamError, match="cannot hold"):
-        list(decode_bands(payload, 0, [BandRecord("0", 0, 5, 1, 1, 0, 4)], _BOUND))
-
-
-@pytest.mark.parametrize("change", ["short", "long"])
-def test_bands_payload_length_must_match(change):
-    bands = [np.arange(-20, 20, dtype=np.int64), np.array([1, 2, 3])]
-    records, payload = encode_bands(bands)
-    payload = payload[:-1] if change == "short" else payload + b"\x00"
-    with pytest.raises(BitstreamError):
-        list(decode_bands(payload, 0, _records(bands, records), _BOUND))
+        list(decode_bands(payload, 0, [_record("0", 5, 1, 0, 4)]))
 
 
 def test_records_carry_component_and_step():
@@ -691,19 +689,23 @@ def test_records_carry_component_and_step():
     layout = [("L", 2, 1), ("H", 1, 1)]
     stepped = struct.Struct(">HBI")
     table = b"".join(stepped.pack(step, 1, 9) for step in (3, 4, 5, 6)) + bytes(8)
-    records = read_records(b"hdr" + table, 3, layout, range(2), stepped, "")
+    records = read_records(b"hdr" + table, 3, layout, range(2), stepped, "", 100)
+    # top: twice the largest |i| with |i| * step + step // 2 <= 100
     assert records == (
-        BandRecord("L", 0, 2, 1, 3, 1, 9),
-        BandRecord("H", 0, 1, 1, 4, 1, 9),
-        BandRecord("L", 1, 2, 1, 5, 1, 9),
-        BandRecord("H", 1, 1, 1, 6, 1, 9),
+        BandRecord("L", 0, 2, 1, 3, 1, 9, 66),
+        BandRecord("H", 0, 1, 1, 4, 1, 9, 48),
+        BandRecord("L", 1, 2, 1, 5, 1, 9, 38),
+        BandRecord("H", 1, 1, 1, 6, 1, 9, 32),
     )
     stepless = struct.Struct(">BI")
     table = stepless.pack(2, 8) + stepless.pack(0, 0) + bytes(1)
-    records = read_records(table, 0, layout, (2,), stepless, "")
-    assert records == (BandRecord("L", 2, 2, 1, 1, 2, 8), BandRecord("H", 2, 1, 1, 1, 0, 0))
+    records = read_records(table, 0, layout, (2,), stepless, "", 100)
+    assert records == (
+        BandRecord("L", 2, 2, 1, 1, 2, 8, 200),
+        BandRecord("H", 2, 1, 1, 1, 0, 0, 200),
+    )
     # mapped 4 at k = 2 is "1000": the two samples of L, width 2 by height 1
-    (band,) = decode_bands(b"\x88", 0, records[:1], 100)
+    (band,) = decode_bands(b"\x88", 0, records[:1])
     assert band.tolist() == [[2, 2]]
 
 
@@ -720,7 +722,7 @@ def test_records_carry_component_and_step():
 def test_bad_record_tables_rejected(table, message):
     layout = [("L", 1, 1), ("H", 1, 1)]
     with pytest.raises(BitstreamError, match=message):
-        read_records(table, 0, layout, (0,), struct.Struct(">HBI"), "at: ")
+        read_records(table, 0, layout, (0,), struct.Struct(">HBI"), "at: ", _BOUND)
 
 
 @pytest.mark.parametrize("layer", ["base", "wavelet"])
@@ -793,11 +795,11 @@ def test_reader_roundtrip_fields():
 
 
 def test_reader_truncation():
-    # nine bits declared, one byte present
-    with pytest.raises(BitstreamError):
-        list(decode_bands(b"\xff", 0, [BandRecord("0", 0, 1, 1, 1, 0, 9)], 1))
-    with pytest.raises(BitstreamError):
-        list(decode_bands(b"", 0, [BandRecord("0", 0, 1, 1, 1, 0, 1)], 1))
+    # nine bits declared, one byte present; then one bit declared, none present
+    record = struct.Struct(">BI")
+    for bits, section in (9, b"\xff"), (1, b""):
+        with pytest.raises(BitstreamError, match="^declared band sizes"):
+            read_records(record.pack(0, bits) + section, 0, [("0", 1, 1)], (0,), record, "", 5)
 
 
 def test_bit_array_roundtrip():
@@ -809,7 +811,7 @@ def test_bit_array_roundtrip():
     unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     assert np.array_equal(unpacked[: bits.size], bits)
     assert np.all(unpacked[bits.size :] == 0)
-    (out,) = decode_bands(payload, 0, [BandRecord("0", 0, band.size, 1, 1, k, nbits)], 3)
+    (out,) = decode_bands(payload, 0, [_record("0", band.size, 1, k, nbits, 3)])
     assert np.array_equal(out, band.reshape(1, -1))
 
 
