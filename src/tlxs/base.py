@@ -26,18 +26,26 @@ sub-bpp rate targets would be unreachable. The payload is a pure function of
 ``(image, config)``.
 
 Coefficients and quantizer indices are ``int32`` (see :mod:`tlxs.dwt` for
-the bounds). The encoder splits every band into ``(|c|, sign, peak)`` once;
-rate control probes that split, and the encode quantizes each band from it
-as ``sign * (|c| // step)``, absent exactly when ``peak < step``. The index
-bound, the largest ``|i|`` whose reconstruction fits the coefficient limit,
-is checked by :func:`tlxs.rice.decode_bands` before it narrows a band to
-int32, so ``|i| * step`` is never formed for an index that could wrap.
+the bounds). A band's coded length at a step depends only on its distinct
+coefficients and how often each occurs, so rate control takes a histogram of
+every band once (``np.unique``) and scores each probe by quantizing only the
+distinct values: 507 over the 10 bands of a 512x512 8-bit natural plane at
+5/2 levels, 28,725 at 16 bits, against 262,144 coefficients. The encode
+then quantizes each band in place and, once the band is coded, turns its
+indices into their reconstruction in the same buffer; each component is
+recomposed once its last band is coded. The encoder and :func:`decode_base`
+build the base image through one helper, :func:`_base_plane`, from the same
+indices. The index bound, the largest ``|i|`` whose reconstruction fits the
+coefficient limit, is checked by :func:`tlxs.rice.decode_bands` before it
+narrows a band to int32, so ``|i| * step`` is never formed for an index
+that could wrap.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -100,6 +108,8 @@ class BaseEncodeResult:
     payload: bytes
     steps: tuple[int, ...]
     overshoot: bool
+    image: PlanarImage
+    """The base image, as :func:`decode_base` rebuilds it from ``payload``."""
 
 
 def _check_step(step: int) -> None:
@@ -122,33 +132,62 @@ def dequantize_deadzone(index, step: int):
     """
     _check_step(step)
     bound = (_INT32_MAX - step // 2) // step
-    return _dequantize(as_int32(index, -bound, bound), step)
+    return _dequantize(np.array(as_int32(index, -bound, bound)), step)
 
 
 def _dequantize(index: np.ndarray, step: int) -> np.ndarray:
-    """:func:`dequantize_deadzone` of int32 indices already checked to fit."""
-    out = np.abs(index)
-    out *= step
-    out += step // 2
-    out *= np.sign(index)
-    return out
+    """:func:`dequantize_deadzone` in place, of int32 indices already checked to fit."""
+    sign = np.sign(index)
+    np.abs(index, out=index)
+    index *= step
+    index += step // 2
+    index *= sign
+    return index
 
 
-BandSplit = list[tuple[np.ndarray, np.ndarray, int]]
+def _base_plane(
+    indices: Sequence[np.ndarray | None],
+    steps: Sequence[int],
+    width: int,
+    height: int,
+    bit_depth: int,
+    levels_h: int,
+    levels_v: int,
+) -> np.ndarray:
+    """One component's read-only base plane from its bands' int32 indices.
+
+    The indices are dequantized in place. ``None`` stands for a band whose
+    indices are all zero; a read-only view of zeros takes its place.
+    """
+    layout = dwt.band_dimensions(width, height, levels_h, levels_v)
+    bands = [
+        np.broadcast_to(np.int32(0), (bh, bw)) if q is None else _dequantize(q, step)
+        for q, step, (_, bw, bh) in zip(indices, steps, layout)
+    ]
+    plane = dwt.recompose(bands, width, height, levels_h, levels_v)
+    np.clip(plane, 0, (1 << bit_depth) - 1, out=plane)
+    return frozen(plane)
+
+
+BandSplit = list[tuple[np.ndarray, int, rice.Histogram | None]]
 
 
 def _split_bands(image: PlanarImage, config: BaseConfig) -> BandSplit:
-    """Every band, component-major, as ``(|c|, sign, peak)``.
+    """Every band, component-major, as ``(coefficients, peak, histogram)``.
 
-    ``sign * (|c| // step)`` is :func:`quantize_deadzone` at ``step``, and it
-    is all zeros exactly when ``peak < step``.
+    ``peak`` is the largest ``|c|``, so the band quantizes to all zeros
+    exactly when ``peak < step``. The histogram, the band's distinct values
+    and their counts, is kept only when rate control will probe it.
     """
     split = []
     for plane in image.planes:
         for band in dwt.decompose(plane, config.levels_h, config.levels_v):
-            magnitude = np.abs(band)
-            sign = np.sign(band).astype(np.int8)
-            split.append((magnitude, sign, int(magnitude.max(initial=0))))
+            if config.target_bpp is None:
+                histogram, values = None, band
+            else:
+                histogram = rice.Histogram(*np.unique(band, return_counts=True))
+                values = histogram.values
+            split.append((band, int(np.abs(values).max(initial=0)), histogram))
     return split
 
 
@@ -156,7 +195,9 @@ def rate_control(image: PlanarImage, config: BaseConfig) -> tuple[tuple[int, ...
     """Per-band quantizer steps meeting the target rate, plus an overshoot flag.
 
     Bisects the integer step that all bands share for the least one whose
-    stream fits; the flag is set when even ``MAX_STEP`` does not.
+    stream fits; the flag is set when even ``MAX_STEP`` does not. Each probe
+    is scored from the bands' histograms, one ``rice.choose_rice_k`` call per
+    band that is not all zeros at the probed step.
     """
     if config.target_bpp is None:
         raise CodecError("rate control needs a positive bit rate target")
@@ -191,31 +232,61 @@ def _rate_control_on_split(
 
 
 def _section_bytes(split: BandSplit, step: int) -> int:
-    """Band-section size with every band of the split quantized at ``step``."""
+    """Band-section size with every band of the split quantized at ``step``.
+
+    Only each band's distinct values are quantized; their counts weigh them.
+    """
     total = 0
-    for magnitude, sign, peak in split:
+    for _, peak, (values, counts) in split:
         if peak >= step:
-            _, bits = rice.choose_rice_k(sign * (magnitude // step))
+            indices = np.sign(values) * (np.abs(values) // step)
+            _, bits = rice.choose_rice_k(rice.Histogram(indices, counts))
             total += (bits + 7) // 8
     return total
 
 
 def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeResult:
-    """Encode and also report the chosen steps and the overshoot flag."""
+    """Encode and also report the chosen steps, the overshoot flag and the base image."""
     split = _split_bands(image, config)
     if config.target_bpp is None:
         steps: tuple[int, ...] = (1,) * (len(split) // image.components)
         overshoot = False
     else:
         steps, overshoot = _rate_control_on_split(split, image, config)
+    n_bands = len(steps)
     band_steps = steps * image.components
+    coded = [peak >= step for (_, peak, _), step in zip(split, band_steps)]
+    planes = []
 
-    # Quantized lazily, so only one band's indices and bits are alive at once.
-    entries, section = rice.encode_bands(
-        sign * (magnitude // step)
-        for (magnitude, sign, peak), step in zip(split, band_steps)
-        if peak >= step
-    )
+    def indices():
+        # Each band is quantized in place, so its coefficients, indices and
+        # reconstruction share one buffer, and only one band's bits are alive
+        # at once. A component is recomposed once its last band is coded, and
+        # its bands leave the split then.
+        for first in range(0, len(coded), n_bands):
+            kept: list[np.ndarray | None] = []
+            for (band, _, _), step, nonzero in zip(split[:n_bands], steps, coded[first:]):
+                if nonzero:
+                    sign = np.sign(band)
+                    np.abs(band, out=band)
+                    band //= step
+                    band *= sign
+                    yield band
+                kept.append(band if nonzero else None)
+            del split[:n_bands]
+            planes.append(
+                _base_plane(
+                    kept,
+                    steps,
+                    image.width,
+                    image.height,
+                    image.bit_depth,
+                    config.levels_h,
+                    config.levels_v,
+                )
+            )
+
+    entries, section = rice.encode_bands(indices())
 
     header = bytearray(
         _FIXED.pack(
@@ -228,10 +299,15 @@ def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeRe
         )
     )
     entries_iter = iter(entries)
-    for (_, _, peak), step in zip(split, band_steps):
-        k, nbits = next(entries_iter) if peak >= step else (0, 0)
+    for nonzero, step in zip(coded, band_steps):
+        k, nbits = next(entries_iter) if nonzero else (0, 0)
         header += _RECORD.pack(step, k, nbits)
-    return BaseEncodeResult(bytes(header) + section, steps, overshoot)
+    return BaseEncodeResult(
+        bytes(header) + section,
+        steps,
+        overshoot,
+        PlanarImage.from_planes(planes, image.bit_depth),
+    )
 
 
 def encode_base(image: PlanarImage, config: BaseConfig) -> bytes:
@@ -279,19 +355,21 @@ def decode_base(payload: bytes) -> PlanarImage:
     coded = rice.decode_bands(payload, info.data_offset, [r for r in info.records if r.bits])
     planes = []
     for comp in range(info.components):
-        # zero-length convention: every index, so every coefficient, is zero;
-        # a read-only view stands in for the band
+        records = [r for r in info.records if r.component == comp]
+        # zero-length convention: every index, so every coefficient, is zero
         try:
-            bands = [
-                _dequantize(next(coded), r.step)
-                if r.bits
-                else np.broadcast_to(np.int32(0), (r.height, r.width))
-                for r in info.records
-                if r.component == comp
-            ]
+            indices = [next(coded) if r.bits else None for r in records]
         except BitstreamError as err:
             raise BitstreamError(f"base component {comp}: {err}") from err
-        plane = dwt.recompose(bands, info.width, info.height, info.levels_h, info.levels_v)
-        np.clip(plane, 0, (1 << info.bit_depth) - 1, out=plane)
-        planes.append(frozen(plane))
+        planes.append(
+            _base_plane(
+                indices,
+                [r.step for r in records],
+                info.width,
+                info.height,
+                info.bit_depth,
+                info.levels_h,
+                info.levels_v,
+            )
+        )
     return PlanarImage.from_planes(planes, info.bit_depth)

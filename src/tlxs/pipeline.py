@@ -1,9 +1,13 @@
 """Two-layer encode/decode composition and the rate sweep behind the bench.
 
-The encoder always reconstructs the base image by decoding its own base
-payload, never by reusing transform-domain state, so the encoder-side and
-decoder-side reconstructions are identical by construction. That identity is
-what makes the residual round trip exact.
+The residual round trip is exact only if the encoder subtracts the very base
+image the decoder rebuilds. The encoder rebuilds it from the quantizer
+indices it has just coded, through the same dequantize, recompose and clip
+helper :func:`tlxs.base.decode_base` uses, rather than decoding its own
+payload back. The two agree because the Rice coder is a bijection: the
+indices the decoder reads are the indices the encoder wrote. Tests check
+this across shapes, depths, levels and targets, and every ``base_preview``
+benchmark trip checks the encoder's base against a base-only decode.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ def encode_two_layer_detailed(
         result = encode_base_detailed(image, base_config)
         base_payload = result.payload
         overshoot = result.overshoot
-        base_image = decode_base(base_payload)
+        base_image = result.image
         shifted = [dc_shift(r) for r in compute_residual(image, base_image)]
         planes = [r.samples for r in shifted]
         depth = image.bit_depth + 1

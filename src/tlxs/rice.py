@@ -11,9 +11,10 @@ band decoding takes them apart with array passes only. Each code ends at a
 zero bit, so a band at ``k = 0`` ends its codes at its first ``count`` zero
 bits. At ``k > 0`` the code ending at zero bit ``z`` is followed by the one
 ending at the first zero at or after ``z + 1 + k``, at most ``k`` zeros on;
-:func:`decode_band` tabulates that jump with ``k`` shifted comparisons. A zero
-more than ``k`` bits after the zero before it, a sync zero, always ends a
-code, since no earlier code's remainder reaches it (the self-synchronisation
+:func:`decode_band` tabulates that jump from running sums of the gaps between
+zeros, each gap clipped to ``k + 1`` so the sums fit uint16. A zero more
+than ``k`` bits after the zero before it, a sync zero, always ends a code,
+since no earlier code's remainder reaches it (the self-synchronisation
 parallel variable-length decoders use; Klein & Wiseman, The Computer Journal
 46(5), 2003). So the decoder follows the jump table from zero 0 and every
 sync zero at once, one gather per step, until each walk lands on a zero
@@ -86,29 +87,43 @@ def rice_bit_cost(indices: np.ndarray, k: int) -> int:
     return int(np.sum(mapped >> k)) + mapped.size * (1 + k)
 
 
-def choose_rice_k(indices: np.ndarray) -> tuple[int, int]:
+class Histogram(NamedTuple):
+    """Signed values, not necessarily distinct, each occurring ``counts`` times."""
+
+    values: np.ndarray
+    counts: np.ndarray
+
+
+def choose_rice_k(indices: np.ndarray | Histogram) -> tuple[int, int]:
     """Parameter in 0..MAX_RICE_K of least coded length, ties to smallest.
 
     Returns ``(k, bits)``, ``bits`` being that least length: what
-    ``rice_bit_cost(indices, k)`` returns, without a second pass.
+    ``rice_bit_cost(indices, k)`` returns, without a second pass. A
+    :class:`Histogram` is scored as the array holding each value ``count``
+    times; a plain array weighs each of its values once.
 
-    The coded length ``f(k) = sum(v >> k) + n * (1 + k)`` is convex in ``k``:
-    ``f(k+1) - f(k) = n - sum(ceil((v >> k) / 2))`` never decreases. So a
-    local search from ``floor(log2(mean))`` finds the global minimum, usually
-    in three or four passes over the band instead of one per candidate
-    (Kiely, IPN Progress Report 42-159, 2004). Stepping down on ``<=`` and up
-    on ``<`` lands on the smallest minimizer.
+    The coded length ``f(k) = sum(count * (v >> k)) + n * (1 + k)`` is convex
+    in ``k``: ``f(k+1) - f(k) = n - sum(count * ceil((v >> k) / 2))`` never
+    decreases. So a local search from ``floor(log2(mean))`` finds the global
+    minimum, usually in three or four passes over the values instead of one
+    per candidate (Kiely, IPN Progress Report 42-159, 2004). Stepping down on
+    ``<=`` and up on ``<`` lands on the smallest minimizer.
     """
-    mapped = zigzag_map(indices)
-    n = mapped.size
+    values, counts = indices if isinstance(indices, Histogram) else (indices, None)
+    mapped = zigzag_map(values)
+    n = mapped.size if counts is None else int(counts.sum())
     if n == 0:
         return 0, 0
-    total = int(mapped.sum())
+
+    def weighted_sum(a: np.ndarray) -> int:
+        return int(np.sum(a) if counts is None else a @ counts)
+
+    total = weighted_sum(mapped)
     costs = {0: total + n}
 
     def cost(k: int) -> int:
         if k not in costs:
-            costs[k] = int(np.sum(mapped >> k)) + n * (1 + k)
+            costs[k] = weighted_sum(mapped >> k) + n * (1 + k)
         return costs[k]
 
     k = min(max((total // n).bit_length() - 1, 0), MAX_RICE_K)
@@ -176,10 +191,10 @@ def _decode_mapped(bits: np.ndarray, count: int, k: int) -> np.ndarray:
     else:
         # jump[i]: the zero ending the code after zero i's, i + 1 plus how many
         # of the next k zeros lie within k bits of zero i; n is "past the end".
-        near = np.zeros(n, dtype=np.uint8)
-        for d in range(1, min(k, n - 1) + 1):
-            near[: n - d] += zeros[d:] - zeros[: n - d] <= k
-        jump = np.append(np.arange(1, n + 1) + near, n)
+        near = _near_counts(zeros, k)
+        jump = np.arange(1, n + 2)
+        jump[:n] += near
+        jump[n] = n
         # unended[j]: zero j is not yet known to end a code. Zero 0 ends the
         # first code, and so does every sync zero, more than k bits after the
         # zero before it, since no remainder reaches it. Entry n is the end.
@@ -221,6 +236,30 @@ def _decode_mapped(bits: np.ndarray, count: int, k: int) -> np.ndarray:
         mapped <<= 1
         mapped |= bits[terms + j]
     return mapped
+
+
+def _near_counts(zeros: np.ndarray, k: int) -> np.ndarray:
+    """``near[i]``: how many of the ``k`` zeros after zero ``i`` lie within ``k`` bits of it.
+
+    Zero ``i + d`` does when the ``d`` gaps from zero ``i`` sum to at most
+    ``k``. Gaps clipped to ``k + 1`` keep that test, and ``d <= k`` of them
+    sum to at most ``k * (k + 1) <= 600``, so the running sums stay uint16.
+    """
+    n = zeros.size
+    near = np.zeros(n, dtype=np.uint8)
+    if min(k, n - 1) < 2:
+        np.less_equal(np.diff(zeros), k, out=near[:-1])
+        return near
+    clipped = np.empty(n - 1, dtype=np.uint16)
+    np.minimum(np.diff(zeros), k + 1, out=clipped, casting="unsafe")
+    np.less_equal(clipped, k, out=near[:-1])
+    run = clipped[:-1] + clipped[1:]  # run[i]: gaps i .. i + d - 1 summed, d = 2
+    near[: n - 2] += run <= k
+    for d in range(3, min(k, n - 1) + 1):
+        run = run[: n - d]
+        run += clipped[d - 1 :]
+        near[: n - d] += run <= k
+    return near
 
 
 def _walk_pays(unended: np.ndarray, count: int) -> bool:

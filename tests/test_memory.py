@@ -5,9 +5,13 @@ payloads, which must be refused within a small multiple of their size.
 512x512 natural images at 2 bpp, measured with tracemalloc after one
 untraced decode has filled the Rice prefix tables. The bounds sit about 10%
 above the peaks measured on CPython 3.11 with numpy 2.4 (6.8, 8.8, 6.1, 9.5,
-4.4, 4.6 and 11.9 MiB in the order listed below; 10.5 MiB for the rgb8
+4.4, 4.6 and 11.7 MiB in the order listed below; 10.5 MiB for the rgb8
 predictive encode and 4.9 MiB for its base decode). The two predictive
-decodes are 27x and 35x the 256 KiB 8-bit raster.
+decodes are 27x and 35x the 256 KiB 8-bit raster. A 16-bit encode at
+``LOSSLESS_BASE`` peaked at 6.3 MiB with the predictive coder and 4.7 MiB
+with the wavelet coder. While the encoder decoded its own base payload back
+to get its base image, it peaked at 11.5 MiB with either coder, as high as
+a decode.
 """
 
 import tracemalloc
@@ -16,7 +20,7 @@ import numpy as np
 import pytest
 
 from tlxs import rice
-from tlxs.base import BaseConfig, decode_base
+from tlxs.base import LOSSLESS_BASE, BaseConfig, decode_base
 from tlxs.container import demux
 from tlxs.dwt import decompose, recompose
 from tlxs.errors import BitstreamError
@@ -61,6 +65,17 @@ def test_peak_memory_per_coder(depth, coder, operation, bound_mib):
     else:
         peak = _peak(lambda: decode_two_layer(data))
     assert peak <= bound_mib * MIB, peak / MIB
+
+
+@pytest.mark.parametrize("coder", list(LosslessCoderId))
+def test_peak_memory_lossless_base_encode(coder):
+    # the encoder rebuilds its base from its own step-1 indices in place,
+    # rather than decoding its payload back at a decode's peak
+    image = natural_image(512, 512, 16)
+    config = BaseConfig(target_bpp=LOSSLESS_BASE)
+    encode_two_layer(image, config, coder)
+    peak = _peak(lambda: encode_two_layer(image, config, coder))
+    assert peak <= 7.0 * MIB, peak / MIB
 
 
 def _rgb8():

@@ -1,12 +1,14 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from tlxs.base import LOSSLESS_BASE, BaseConfig
+from tlxs.base import LOSSLESS_BASE, BaseConfig, decode_base
 from tlxs.container import HEADER_SIZE, demux
 from tlxs.errors import BitstreamError, CodecError, ContainerError
-from tlxs.image import bits_per_pixel
+from tlxs.image import PlanarImage, bits_per_pixel
 from tlxs.pipeline import (
     CSV_COLUMNS,
     bench_sweep,
@@ -51,10 +53,32 @@ def test_color_image_roundtrip():
 
 
 def test_encoder_and_decoder_base_agree(natural_256):
-    details = encode_two_layer_detailed(natural_256, BaseConfig(target_bpp=1.0))
+    # The encoder rebuilds its base from its own indices, never from its
+    # payload; only a Rice round trip that gives those indices back makes
+    # this hold. 1xN, Nx1 and odd shapes give empty and length-1 bands.
     from tlxs.container import decode_base_only
 
+    details = encode_two_layer_detailed(natural_256, BaseConfig(target_bpp=1.0))
     assert decode_base_only(details.file_bytes) == details.base_image
+    for (width, height), depth, components, (levels_h, levels_v), target in product(
+        [(1, 37), (41, 1), (23, 19)],
+        [8, 12, 16],
+        [1, 3],
+        [(1, 0), (6, 2)],
+        [LOSSLESS_BASE, 1.5, 0.01],  # 0.01 overshoots at MAX_STEP
+    ):
+        planes = [
+            natural_image(width, height, depth, seed=seed).planes[0]
+            for seed in range(components)
+        ]
+        image = PlanarImage.from_planes(planes, depth)
+        config = BaseConfig(levels_h, levels_v, target)
+        details = encode_two_layer_detailed(image, config)
+        case = (width, height, depth, components, levels_h, levels_v, target)
+        assert details.overshoot or target != 0.01, case
+        assert decode_base(details.base_bytes) == details.base_image, case
+        if target is LOSSLESS_BASE:
+            assert details.base_image == image, case
 
 
 def test_no_base_accounting():

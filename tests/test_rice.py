@@ -451,6 +451,72 @@ def test_all_zero_band_at_largest_k():
     assert np.array_equal(decode_band(bits, 1000, 24), np.zeros(1000))
 
 
+def assert_mapped_like_oracle(bits, count, k):
+    """``_decode_mapped`` on a whole band gives the oracle's values."""
+    want, consumed = decode_mapped_oracle(bits, count, k)
+    assert consumed == bits.size
+    assert np.array_equal(rice._decode_mapped(bits, count, k), want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 12, 24])
+@pytest.mark.parametrize(
+    "mapped",
+    [
+        lambda k: [(1 << k) - 1],  # one code, one zero
+        lambda k: [(3 << k) | ((1 << k) - 1)] * 2,  # two zeros, far apart
+        lambda k: [(1 << k) - 2],  # one code whose last remainder bit is zero
+        lambda k: [(1 << k) - 1, 0],  # a sync zero, then k + 1 zeros in a row
+    ],
+    ids=["one_zero", "two_zeros", "zero_in_remainder", "then_zero_code"],
+)
+def test_jump_table_with_few_zeros(k, mapped):
+    mapped = np.asarray(mapped(k), dtype=np.int64)
+    bits = pack_codes(mapped, k)
+    assert_mapped_like_oracle(bits, mapped.size, k)
+    assert_variants_decode_like_oracle(bits, mapped.size, k, range(bits.size))
+
+
+def _band_by_gaps(gaps, k):
+    """The band of whole codes that a one-bit stream with zeros ``gaps`` apart
+    begins with; returns ``(bits, count)``."""
+    zeros = np.cumsum(gaps) - gaps[0]
+    bits = np.ones(int(zeros[-1]) + 1, dtype=np.uint8)
+    bits[zeros] = 0
+    count, end = 0, 0
+    for z in zeros.tolist():
+        if z >= end:
+            if z + 1 + k > bits.size:
+                break
+            count, end = count + 1, z + 1 + k
+    return bits[:end], count
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [
+        np.full(3000, 24),
+        np.random.default_rng(8).integers(1, 25, 3000),
+        np.random.default_rng(9).integers(20, 25, 3000),
+    ],
+    ids=["all_k", "uniform", "near_k"],
+)
+def test_jump_table_at_largest_k_with_every_gap_within_k(gaps):
+    # the running sums of up to k gaps reach k * k = 576, near uint16's
+    # bound for the clipped sums; no zero after zero 0 is a sync zero
+    bits, count = _band_by_gaps(gaps, 24)
+    assert count > 1000
+    assert np.diff(np.flatnonzero(bits == 0)).max() <= 24
+    assert_mapped_like_oracle(bits, count, 24)
+
+
+@pytest.mark.parametrize("k", range(1, 25))
+def test_all_zero_bits_decode_like_oracle(k):
+    for count in (1, 2, 3, 500):
+        bits = np.zeros(count * (1 + k), dtype=np.uint8)
+        assert_mapped_like_oracle(bits, count, k)
+        assert_decodes_like_oracle(bits, count - 1, k)  # trailing zeros
+
+
 def test_impossible_count_rejected_before_allocating():
     tracemalloc.start()
     try:
@@ -569,6 +635,52 @@ def test_chosen_k_at_every_start_point(k_mean, n):
     # a flat band of mapped value 2**k_mean starts the search at k_mean
     arr = np.full(n, 2 ** (k_mean - 1), dtype=np.int64)
     assert chosen_k(arr) == choose_rice_k_oracle(arr)
+
+
+def histogram(values):
+    return rice.Histogram(*np.unique(values, return_counts=True))
+
+
+_INT32 = np.iinfo(np.int32)
+
+
+@given(
+    st.one_of(
+        scaled_bands(),
+        hnp.arrays(np.int32, st.integers(0, 64), elements=st.integers(-40, 40)),
+        hnp.arrays(np.int32, st.integers(0, 64), elements=st.integers(_INT32.min, _INT32.max)),
+    )
+)
+def test_histogram_scores_like_its_array(values):
+    assert choose_rice_k(histogram(values)) == choose_rice_k(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [_INT32.min],
+        [_INT32.max] * 3,
+        [_INT32.min, _INT32.max, 0, -1, _INT32.min],
+        [_INT32.min + 1] * 2 + [1] * 5,
+    ],
+    ids=["empty", "int32_min", "int32_max", "both_extremes", "skewed"],
+)
+def test_histogram_scores_like_its_array_on_edges(values):
+    arr = np.asarray(values, dtype=np.int32)
+    assert choose_rice_k(histogram(arr)) == choose_rice_k(arr)
+    assert choose_rice_k(histogram(arr))[0] == choose_rice_k_oracle(arr)
+
+
+@given(
+    hnp.arrays(np.int64, st.integers(0, 32), elements=st.integers(-(2**20), 2**20)),
+    st.data(),
+)
+def test_histogram_with_repeated_values_scores_like_its_expansion(values, data):
+    # rate control quantizes distinct values, so equal indices can recur
+    counts = data.draw(hnp.arrays(np.int64, values.size, elements=st.integers(0, 50)))
+    expanded = np.repeat(values, counts)
+    assert choose_rice_k(rice.Histogram(values, counts)) == choose_rice_k(expanded)
 
 
 # no value of these bands reaches it
