@@ -30,15 +30,14 @@ the bounds). A band's coded length at a step depends only on its distinct
 coefficients and how often each occurs, so rate control takes a histogram of
 every band once (``np.unique``) and scores each probe by quantizing only the
 distinct values: 507 over the 10 bands of a 512x512 8-bit natural plane at
-5/2 levels, 28,725 at 16 bits, against 262,144 coefficients. The encode
-then quantizes each band in place and, once the band is coded, turns its
-indices into their reconstruction in the same buffer; each component is
-recomposed once its last band is coded. The encoder and :func:`decode_base`
-build the base image through one helper, :func:`_base_plane`, from the same
-indices. The index bound, the largest ``|i|`` whose reconstruction fits the
-coefficient limit, is checked by :func:`tlxs.rice.decode_bands` before it
-narrows a band to int32, so ``|i| * step`` is never formed for an index
-that could wrap.
+5/2 levels, 28,725 at 16 bits, against 262,144 coefficients. One in-place
+:func:`_quantize` holds the dead-zone rule: probes apply it to a copy of each
+histogram's values, the encoder to each coded band. The encoder takes one
+pass per component, as :func:`decode_base` does, and both build the base
+plane from the indices through :func:`_base_plane`, in the same buffers. The
+index bound, the largest ``|i|`` whose reconstruction fits the coefficient
+limit, is checked by :func:`tlxs.rice.decode_bands` before it narrows a band
+to int32, so ``|i| * step`` is never formed for an index that could wrap.
 """
 
 from __future__ import annotations
@@ -120,8 +119,7 @@ def _check_step(step: int) -> None:
 def quantize_deadzone(coeff, step: int):
     """``sign(c) * floor(|c| / step)``; step 1 is the identity."""
     _check_step(step)
-    c = as_int32(coeff, -_INT32_MAX, _INT32_MAX)
-    return np.sign(c) * (np.abs(c) // step)
+    return _quantize(np.array(as_int32(coeff, -_INT32_MAX, _INT32_MAX)), step)
 
 
 def dequantize_deadzone(index, step: int):
@@ -133,6 +131,15 @@ def dequantize_deadzone(index, step: int):
     _check_step(step)
     bound = (_INT32_MAX - step // 2) // step
     return _dequantize(np.array(as_int32(index, -bound, bound)), step)
+
+
+def _quantize(coeff: np.ndarray, step: int) -> np.ndarray:
+    """:func:`quantize_deadzone` in place, of int32 coefficients other than ``-2**31``."""
+    sign = np.sign(coeff)
+    np.abs(coeff, out=coeff)
+    coeff //= step
+    coeff *= sign
+    return coeff
 
 
 def _dequantize(index: np.ndarray, step: int) -> np.ndarray:
@@ -208,6 +215,8 @@ def _rate_control_on_split(
     split: BandSplit, image: PlanarImage, config: BaseConfig
 ) -> tuple[tuple[int, ...], bool]:
     n_bands = len(split) // image.components
+    if config.target_bpp is None:  # LOSSLESS_BASE
+        return (1,) * n_bands, False
     header_bytes = _FIXED.size + _RECORD.size * len(split)
     budget = config.target_bpp * (1.0 + RATE_TOLERANCE) * image.pixel_count
 
@@ -239,7 +248,7 @@ def _section_bytes(split: BandSplit, step: int) -> int:
     total = 0
     for _, peak, (values, counts) in split:
         if peak >= step:
-            indices = np.sign(values) * (np.abs(values) // step)
+            indices = _quantize(values.copy(), step)
             _, bits = rice.choose_rice_k(rice.Histogram(indices, counts))
             total += (bits + 7) // 8
     return total
@@ -248,46 +257,8 @@ def _section_bytes(split: BandSplit, step: int) -> int:
 def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeResult:
     """Encode and also report the chosen steps, the overshoot flag and the base image."""
     split = _split_bands(image, config)
-    if config.target_bpp is None:
-        steps: tuple[int, ...] = (1,) * (len(split) // image.components)
-        overshoot = False
-    else:
-        steps, overshoot = _rate_control_on_split(split, image, config)
+    steps, overshoot = _rate_control_on_split(split, image, config)
     n_bands = len(steps)
-    band_steps = steps * image.components
-    coded = [peak >= step for (_, peak, _), step in zip(split, band_steps)]
-    planes = []
-
-    def indices():
-        # Each band is quantized in place, so its coefficients, indices and
-        # reconstruction share one buffer, and only one band's bits are alive
-        # at once. A component is recomposed once its last band is coded, and
-        # its bands leave the split then.
-        for first in range(0, len(coded), n_bands):
-            kept: list[np.ndarray | None] = []
-            for (band, _, _), step, nonzero in zip(split[:n_bands], steps, coded[first:]):
-                if nonzero:
-                    sign = np.sign(band)
-                    np.abs(band, out=band)
-                    band //= step
-                    band *= sign
-                    yield band
-                kept.append(band if nonzero else None)
-            del split[:n_bands]
-            planes.append(
-                _base_plane(
-                    kept,
-                    steps,
-                    image.width,
-                    image.height,
-                    image.bit_depth,
-                    config.levels_h,
-                    config.levels_v,
-                )
-            )
-
-    entries, section = rice.encode_bands(indices())
-
     header = bytearray(
         _FIXED.pack(
             MAGIC,
@@ -298,12 +269,31 @@ def encode_base_detailed(image: PlanarImage, config: BaseConfig) -> BaseEncodeRe
             (config.levels_h << 4) | config.levels_v,
         )
     )
-    entries_iter = iter(entries)
-    for nonzero, step in zip(coded, band_steps):
-        k, nbits = next(entries_iter) if nonzero else (0, 0)
-        header += _RECORD.pack(step, k, nbits)
+    sections, planes = [], []
+    for _ in range(image.components):
+        # a coded band's coefficients, indices and reconstruction share one buffer
+        indices = [
+            _quantize(band, step) if peak >= step else None
+            for (band, peak, _), step in zip(split, steps)
+        ]
+        entries, section = rice.encode_bands(q for q in indices if q is not None)
+        for q, step in zip(indices, steps):  # None: all zeros, absent from the section
+            header += _RECORD.pack(step, *(entries.pop(0) if q is not None else (0, 0)))
+        sections.append(section)
+        planes.append(
+            _base_plane(
+                indices,
+                steps,
+                image.width,
+                image.height,
+                image.bit_depth,
+                config.levels_h,
+                config.levels_v,
+            )
+        )
+        del split[:n_bands]
     return BaseEncodeResult(
-        bytes(header) + section,
+        bytes(header) + b"".join(sections),
         steps,
         overshoot,
         PlanarImage.from_planes(planes, image.bit_depth),
@@ -318,7 +308,7 @@ def encode_base(image: PlanarImage, config: BaseConfig) -> bytes:
 def parse_base_header(payload: bytes) -> BaseStreamInfo:
     """Read and validate the payload header without decoding any samples."""
     if len(payload) < _FIXED.size:
-        raise BitstreamError("base payload shorter than its fixed header")
+        raise BitstreamError("base payload: shorter than its fixed header")
     magic, width, height, components, bit_depth, levels = _FIXED.unpack_from(payload)
     if magic != MAGIC:
         raise BitstreamError(f"base payload: bad base payload magic {magic!r}")

@@ -314,6 +314,15 @@ def fill_prefix(k: int, prefix: int) -> tuple[tuple[int, int], ...]:
     return codes
 
 
+def _check_predictive_length(nbytes: int, count: int, depth: int, where: str = "") -> None:
+    """Refuse a predictive payload of ``nbytes`` too short or too long for ``count`` samples."""
+    if count > 8 * nbytes:  # every code takes at least one bit
+        raise BitstreamError(f"{where}{nbytes} bytes cannot hold {count} samples")
+    # A valid mapped error is at most (2 << depth) - 2: no code outgrows its k = 0 length.
+    if 8 * nbytes > count * ((2 << depth) - 1) + 7:
+        raise BitstreamError(f"{where}{nbytes} bytes exceed any stream of {count} samples")
+
+
 def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.ndarray:
     """Exact inverse of :func:`encode_predictive`.
 
@@ -323,12 +332,8 @@ def decode_predictive(data: bytes, width: int, height: int, depth: int) -> np.nd
     if width < 1 or height < 1:
         raise CodecError("empty plane dimensions")
     count = width * height
+    _check_predictive_length(len(data), count, depth)
     nbits = 8 * len(data)
-    if count > nbits:  # every code takes at least one bit
-        raise BitstreamError(f"{len(data)} bytes cannot hold {count} samples")
-    # A valid mapped error is at most (2 << depth) - 2: no code outgrows its k = 0 length.
-    if nbits > count * ((2 << depth) - 1) + 7:
-        raise BitstreamError(f"{len(data)} bytes exceed any stream of {count} samples")
     win = rice.byte_windows(data)
     rows = PREFIX_ROWS
     fill = fill_prefix
@@ -541,7 +546,7 @@ def parse_extension_header(
 ) -> ExtensionInfo:
     """Read and validate the extension layout: coder, depth, component table, band records."""
     if len(data) < _EXT_FIXED.size:
-        raise BitstreamError("extension payload shorter than its header")
+        raise BitstreamError("extension payload: shorter than its header")
     magic, coder_value, depth = _EXT_FIXED.unpack_from(data)
     if magic != EXT_MAGIC:
         raise BitstreamError(f"extension payload: bad extension magic {magic!r}")
@@ -554,17 +559,19 @@ def parse_extension_header(
     parts = []
     pos = _EXT_FIXED.size
     for comp in range(components):
+        where = f"extension component {comp}: "
         if pos + _EXT_LEN.size > len(data):
-            raise BitstreamError("extension payload truncated in component table")
+            raise BitstreamError(f"{where}truncated in component table")
         (length,) = _EXT_LEN.unpack_from(data, pos)
         pos += _EXT_LEN.size
         if pos + length > len(data):
-            raise BitstreamError("extension component payload truncated")
+            raise BitstreamError(f"{where}payload truncated")
         bands: tuple[rice.BandRecord, ...] = ()
         if coder == LosslessCoderId.WAVELET:
             payload = memoryview(data)[pos : pos + length]
-            where = f"extension component {comp}: "
             bands = _wavelet_records(payload, width, height, depth, comp, where)
+        else:
+            _check_predictive_length(length, width * height, depth, where)
         parts.append(ExtensionComponent(pos, length, bands))
         pos += length
     if pos != len(data):

@@ -10,7 +10,7 @@ from tlxs.cli import main
 from tlxs.container import CODER_NONE, ContainerMeta, demux, mux
 from tlxs.pipeline import bench_sweep, encode_two_layer, rows_to_csv
 from tlxs.pnm import load_pnm, store_pnm
-from tlxs.residual import parse_extension_header
+from tlxs.residual import _EXT_FIXED, _EXT_LEN, EXT_MAGIC, LosslessCoderId, parse_extension_header
 from tlxs.synthetic import natural_image, noise_image
 
 from conftest import (
@@ -188,6 +188,20 @@ def _one_sample_base_of_131097_bits():
     return mux(_one_band_payload(1 << 40, MAX_STEP), b"", ContainerMeta(1, 1, 1, 16, CODER_NONE))
 
 
+def _predictive_component_of_1_byte():
+    # a 64x64 plane takes at least 4096 bits, one per sample
+    base, ext, meta = demux(encode_two_layer(natural_image(64, 64, 8), BaseConfig(target_bpp=2.0)))
+    start = _EXT_FIXED.size + _EXT_LEN.size  # component 0's first byte
+    return mux(base, ext[: _EXT_FIXED.size] + _EXT_LEN.pack(1) + ext[start : start + 1], meta)
+
+
+def _one_sample_predictive_component_of_65_bytes():
+    # one sample's code at depth 8 is at most 2**9 - 1 bits, so 64 bytes at most
+    predictive = LosslessCoderId.PREDICTIVE
+    ext = _EXT_FIXED.pack(EXT_MAGIC, predictive, 8) + _EXT_LEN.pack(65) + b"\xff" * 65
+    return mux(b"", ext, ContainerMeta(1, 1, 1, 8, predictive))
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
@@ -205,12 +219,22 @@ def _one_sample_base_of_131097_bits():
             _one_sample_base_of_131097_bits,
             "base payload: band L at bit 736: 131097 bits exceed any band of 1 samples",
         ),
+        (
+            _predictive_component_of_1_byte,
+            "extension component 0: 1 bytes cannot hold 4096 samples",
+        ),
+        (
+            _one_sample_predictive_component_of_65_bytes,
+            "extension component 0: 65 bytes exceed any stream of 1 samples",
+        ),
     ],
     ids=[
         "base_2000x2000_in_64x64",
         "ext_depth_8_under_base",
         "ext_band_L_of_8388608_bits",
         "base_band_L_of_131097_bits",
+        "ext_predictive_component_of_1_byte",
+        "ext_predictive_1x1_component_of_65_bytes",
     ],
 )
 def test_inspect_refuses_what_decode_refuses_from_the_headers(tmp_path, capsys, make, message):

@@ -857,15 +857,24 @@ class TestExtensionPayload:
         payload = encode_extension(
             [np.zeros((2, 2), dtype=np.int64)], 9, LosslessCoderId.PREDICTIVE
         )
-        with pytest.raises(BitstreamError):
+        with pytest.raises(
+            BitstreamError, match="^extension component 1: truncated in component table$"
+        ):
             decode_extension(payload, 2, 2, 3)
 
     def test_shorter_than_its_header_rejected(self):
         payload = encode_extension(
             [np.zeros((2, 2), dtype=np.int64)], 9, LosslessCoderId.PREDICTIVE
         )
-        with pytest.raises(BitstreamError):
+        with pytest.raises(BitstreamError, match="^extension payload: shorter than its header$"):
             decode_extension(payload[:5], 2, 2, 1)
+
+    def test_component_past_the_payload_rejected(self):
+        payload = encode_extension(
+            [np.zeros((2, 2), dtype=np.int64)], 9, LosslessCoderId.PREDICTIVE
+        )
+        with pytest.raises(BitstreamError, match="^extension component 0: payload truncated$"):
+            decode_extension(payload[:-1], 2, 2, 1)
 
     def test_wavelet_band_records_cut_short_rejected(self):
         # a 5-byte component holds one of its ten band records
