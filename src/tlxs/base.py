@@ -23,7 +23,12 @@ ordered component-major, canonical band order within each component (see
 in that band is zero and the band is absent from the band section; without
 this, coarse streams could never drop below one bit per coefficient and
 sub-bpp rate targets would be unreachable. The payload is a pure function of
-``(image, config)``.
+``(image, config)``. A decoder refuses components other than 1 or 3, a depth
+``N`` outside 8..16, an empty dimension, ``levels_h`` outside 1..6,
+``levels_v`` above ``min(2, levels_h)``, a step of 0 and an index whose
+reconstruction ``sign(i) * (|i| * step + step // 2)`` exceeds the limit
+``2**(N + levels_h + levels_v + 1) + MAX_STEP``. It clips the inverse
+transform to ``[0, 2**N - 1]``.
 
 Coefficients and quantizer indices are ``int32`` (see :mod:`tlxs.dwt` for
 the bounds). A band's coded length at a step depends only on its distinct
@@ -69,8 +74,8 @@ LOSSLESS_BASE = None
 class BaseConfig:
     """Base-layer parameters.
 
-    ``target_bpp`` is the rate target in bits per pixel, or
-    :data:`LOSSLESS_BASE` for an unquantized (step 1) stream.
+    ``target_bpp`` is the rate target in bits per pixel, positive and
+    finite, or :data:`LOSSLESS_BASE` for an unquantized (step 1) stream.
     """
 
     levels_h: int = 5
@@ -84,8 +89,8 @@ class BaseConfig:
             raise CodecError(f"levels_v must be in 0..2, got {self.levels_v}")
         if self.levels_v > self.levels_h:
             raise CodecError("levels_v cannot exceed levels_h")
-        if self.target_bpp is not None and not self.target_bpp > 0:
-            raise CodecError("target_bpp must be positive or LOSSLESS_BASE")
+        if self.target_bpp is not None and not 0 < self.target_bpp < float("inf"):
+            raise CodecError("target_bpp must be positive and finite, or LOSSLESS_BASE")
 
 
 @dataclass(frozen=True)
@@ -325,7 +330,8 @@ def parse_base_header(payload: bytes) -> BaseStreamInfo:
     # |i| * step + step // 2 <= limit for every index the section reader yields
     limit = (1 << (bit_depth + levels_h + levels_v + 1)) + MAX_STEP
     records = rice.read_records(
-        payload, _FIXED.size, layout, range(components), _RECORD, "base payload: ", limit
+        payload, _FIXED.size, layout, range(components), _RECORD, "base payload: ", limit,
+        "base component {comp}: ",
     )
     return BaseStreamInfo(
         width=width,

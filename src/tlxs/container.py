@@ -7,11 +7,13 @@ Layout (big-endian, 34-byte header)::
     reserved 6 bytes | base payload | extension payload
 
 The CRC-32 covers the whole header with the checksum field zeroed, so any
-flipped header byte is detected. Payloads are not checksummed; corruption
-there surfaces as decode errors. Either layer may be empty: a base-only file
-is a plain lossy stream, a base-less file is a pure losslessly coded image.
-``coder_id`` is nonzero exactly when an extension is present; both
-:func:`mux` and :func:`demux` enforce this.
+flipped header byte is detected; the reserved bytes are zeros, never read.
+Payloads are not checksummed; corruption there surfaces as decode errors.
+Either layer may be empty: a base-only file is a plain lossy stream, a
+base-less file is a pure losslessly coded image. ``coder_id`` is nonzero
+exactly when an extension is present (:func:`mux` checks it too), and
+:func:`demux` refuses a version but 1, lengths not adding up to the file,
+components but 1 or 3, a depth outside 8..16 and an empty dimension.
 
 :func:`read_headers` is the one place where the layer headers are checked
 against the container, before any sample is decoded: at least one layer is

@@ -4,7 +4,9 @@ The residual between an original image ``P`` and its decoded base layer
 ``P'`` is ``R = P - P'`` per sample. Lossless image coders generally expect
 non-negative samples, so ``R`` is shifted by the DC offset ``2**N - 1``
 (``N`` = source bit depth), mapping its full range onto
-``[0, 2**(N+1) - 2]``, which fits in ``N + 1`` bits.
+``[0, 2**(N+1) - 2]``, which fits in ``N + 1`` bits. Decoding restores
+``P' + S - (2**N - 1)`` from each shifted sample ``S`` and refuses a result
+outside ``[0, 2**N - 1]``; without a base the extension codes ``P`` at ``N``.
 
 Two interchangeable coders handle the shifted planes:
 
@@ -21,7 +23,8 @@ choice works, but streams are only portable if one is pinned):
 
 * first sample predicted by ``2**(depth-1) - 1``; the rest of the first row
   by the west neighbor; the rest of the first column by the north neighbor;
-* the Golomb-Rice parameter is the MSB position of the running mean of the
+* the Golomb-Rice parameter is the MSB position (0 for 0, at most 24) of the
+  running mean ``acc // count`` (0 before the first sample) of the
   zigzag-mapped prediction errors, recomputed before every sample, with the
   accumulator and count halved once the count reaches 64.
 
@@ -45,11 +48,17 @@ Extension payload layout (big-endian)::
 
     "XSE1" | coder u8 | depth u8 | per component: byte length u32 + payload
 
-A predictive component payload is one Rice-coded raster scan, zero-padded to
-a byte. A wavelet component payload is a record table and band section as in
-the base layer (see :mod:`tlxs.rice`), but its records, per band in canonical
-order (see :mod:`tlxs.dwt`), are rice k u8 and coded length in bits u32 at
-step 1. :func:`parse_extension_header` reads all of this without decoding.
+The coder is 1 (predictive) or 2 (wavelet), the depth 2..17, and the
+components fill the payload. A predictive component payload is one
+Rice-coded raster scan, zero-padded by fewer than 8 bits; it holds at least
+one bit per sample and at most ``count * (2**(depth+1) - 1) + 7`` bits, as no
+valid code outgrows its ``k = 0`` length. A wavelet component payload is a
+record table and band section as in the base layer (see :mod:`tlxs.rice`),
+but its records, per band in canonical order (see :mod:`tlxs.dwt`), are rice
+k u8 and coded length in bits u32 at step 1, its coefficient limit is
+``2**(depth + 7)``, and every band is coded: a band of samples may not
+declare 0 bits. Both coders refuse a sample outside ``[0, 2**depth - 1]``.
+:func:`parse_extension_header` reads all of this without decoding.
 """
 
 from __future__ import annotations
@@ -130,17 +139,6 @@ class ResidualPlane:
         height, width = arr.shape
         return cls(width=width, height=height, depth=depth, shifted=shifted, samples=arr)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResidualPlane):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.depth == other.depth
-            and self.shifted == other.shifted
-            and np.array_equal(self.samples, other.samples)
-        )
-
 
 def compute_residual(original: PlanarImage, base: PlanarImage) -> list[ResidualPlane]:
     """Per-component difference ``original - base``, unshifted."""
@@ -160,16 +158,6 @@ def dc_shift(residual: ResidualPlane) -> ResidualPlane:
     offset = (1 << (residual.depth - 1)) - 1
     return ResidualPlane.from_samples(
         frozen(residual.samples + offset), residual.depth, shifted=True
-    )
-
-
-def dc_unshift(residual: ResidualPlane) -> ResidualPlane:
-    """Exact inverse of :func:`dc_shift`."""
-    if not residual.shifted:
-        raise CodecError("residual plane is not shifted")
-    offset = (1 << (residual.depth - 1)) - 1
-    return ResidualPlane.from_samples(
-        frozen(residual.samples - offset), residual.depth, shifted=False
     )
 
 

@@ -31,10 +31,14 @@ local search on the convex coded length, see :func:`choose_rice_k`) and
 zero-padded to a byte boundary, MSB first, with no separators. A record
 table in front of it, which :func:`read_records` reads for both layers,
 declares each band's ``k``, coded length in bits and, in the base, step.
-:func:`read_records` judges every record against its layer's index limit,
-:func:`encode_bands` writes the section, and :func:`decode_bands` trusts the
-records it is handed, checking every value against its band's bound while
-it is still int64, so no int32 band is ever wrapped.
+:func:`read_records` judges every record against its layer's index limit
+(``|i| * step + step // 2 <= limit``, ``top`` the largest mapped index): it
+refuses ``k`` above 24, a step of 0, a record longer than ``count * ((top >>
+k) + k + 1)`` bits and bands that do not end where the payload does.
+:func:`encode_bands` writes the section, and :func:`decode_bands` refuses a
+nonzero padding bit, a band whose ``count``-th code does not end on its last
+bit, and a mapped index above ``top``, checked while still int64, so no
+int32 band is ever wrapped.
 """
 
 from __future__ import annotations
@@ -81,12 +85,6 @@ def zigzag_unmap(mapped: np.ndarray) -> np.ndarray:
     return (mapped >> 1) ^ -(mapped & 1)
 
 
-def rice_bit_cost(indices: np.ndarray, k: int) -> int:
-    """Exact number of bits :func:`encode_band` emits for these values."""
-    mapped = zigzag_map(indices)
-    return int(np.sum(mapped >> k)) + mapped.size * (1 + k)
-
-
 class Histogram(NamedTuple):
     """Signed values, not necessarily distinct, each occurring ``counts`` times."""
 
@@ -97,8 +95,8 @@ class Histogram(NamedTuple):
 def choose_rice_k(indices: np.ndarray | Histogram) -> tuple[int, int]:
     """Parameter in 0..MAX_RICE_K of least coded length, ties to smallest.
 
-    Returns ``(k, bits)``, ``bits`` being that least length: what
-    ``rice_bit_cost(indices, k)`` returns, without a second pass. A
+    Returns ``(k, bits)``, ``bits`` being that least length: the size of
+    ``encode_band(indices, k)``, without a second pass. A
     :class:`Histogram` is scored as the array holding each value ``count``
     times; a plain array weighs each of its values once.
 
@@ -342,6 +340,7 @@ def read_records(
     record: struct.Struct,
     where: str,
     limit: int,
+    band_where: str | None = None,
 ) -> tuple[BandRecord, ...]:
     """Read the table at ``pos``: per component, one ``record`` per band of ``layout``.
 
@@ -349,25 +348,27 @@ def read_records(
     Every index must keep ``|i| * step + step // 2 <= limit`` (below ``2**30``),
     and a record longer than its samples' longest codes under it is refused.
     The bands, each padded to a byte, must end exactly where ``data`` ends.
-    Errors begin with ``where``, which names the payload.
+    Errors begin with ``where``, which names the payload, or a record's own
+    with ``band_where`` formatted with its ``comp`` when that is given.
     """
     end = pos + record.size * len(components) * len(layout)
     if len(data) < end:
         raise BitstreamError(f"{where}truncated inside band records")
     records = []
     for comp in components:
+        at = where if band_where is None else band_where.format(comp=comp)
         for name, width, height in layout:
             step, k, bits = (1, *record.unpack_from(data, pos))[-3:]
             pos += record.size
             if step < 1:
-                raise BitstreamError(f"{where}band {name} declares step 0")
+                raise BitstreamError(f"{at}band {name} declares step 0")
             if k > MAX_RICE_K:
-                raise BitstreamError(f"{where}band {name} declares rice k {k}")
+                raise BitstreamError(f"{at}band {name} declares rice k {k}")
             count = width * height
             top = 2 * ((limit - step // 2) // step)  # the largest mapped index
             if bits > count * ((top >> k) + k + 1):  # no code is longer than top's
                 message = f"{bits} bits exceed any band of {count} samples"
-                raise BitstreamError(f"{where}band {name} at bit {8 * end}: {message}")
+                raise BitstreamError(f"{at}band {name} at bit {8 * end}: {message}")
             records.append(BandRecord(name, comp, width, height, step, k, bits, top))
             end += (bits + 7) // 8
     if end != len(data):

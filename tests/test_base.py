@@ -24,7 +24,7 @@ from tlxs.image import PlanarImage, bits_per_pixel, psnr
 from tlxs.synthetic import natural_image, noise_image
 
 from conftest import images
-from test_rice import choose_rice_k_oracle
+from reference import choose_rice_k_oracle, rice_bit_cost
 
 
 def rate_control_oracle(image, config):
@@ -54,7 +54,7 @@ def rate_control_oracle(image, config):
                 indices = quantize_deadzone(band, step)
                 if indices.any():
                     k = choose_rice_k_oracle(indices)
-                    total += (rice.rice_bit_cost(indices, k) + 7) // 8
+                    total += (rice_bit_cost(indices, k) + 7) // 8
         return 8 * total
 
     budget = config.target_bpp * (1.0 + RATE_TOLERANCE) * image.pixel_count
@@ -255,8 +255,10 @@ def test_config_validation():
         BaseConfig(levels_v=3)
     with pytest.raises(CodecError):
         BaseConfig(levels_h=1, levels_v=2)
-    with pytest.raises(CodecError):
-        BaseConfig(target_bpp=-1.0)
+    # an infinite target would be a second spelling of LOSSLESS_BASE
+    for target in (-1.0, 0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(CodecError, match="positive and finite"):
+            BaseConfig(target_bpp=target)
     BaseConfig(target_bpp=LOSSLESS_BASE)  # sentinel is valid
 
 
@@ -440,7 +442,13 @@ def test_payload_cut_inside_band_records_rejected():
 def test_band_declaring_step_0_rejected():
     payload = bytearray(_small_payload())
     payload[base._FIXED.size : base._FIXED.size + 2] = bytes(2)  # first record's step
-    with pytest.raises(BitstreamError):
+    with pytest.raises(BitstreamError, match="^base component 0: band L declares step 0$"):
+        decode_base(bytes(payload))
+    payload = bytearray(_three_component_payload(0))
+    # component 2's first record, band L's
+    at = base._FIXED.size + 2 * len(dwt.band_dimensions(1, 1, 6, 2)) * base._RECORD.size
+    payload[at : at + 2] = bytes(2)
+    with pytest.raises(BitstreamError, match="^base component 2: band L declares step 0$"):
         decode_base(bytes(payload))
 
 
@@ -509,7 +517,7 @@ def test_coefficient_out_of_range_in_component_2_names_its_band():
 def test_index_that_would_wrap_in_int32_is_rejected():
     # 2**40 narrowed to int32 is 0; its code alone is longer than any code the
     # index bound allows, so the record is refused before it is decoded
-    message = "band L at bit 736: 131097 bits exceed any band of 1 samples$"
+    message = "^base component 0: band L at bit 736: 131097 bits exceed any band of 1 samples$"
     with pytest.raises(BitstreamError, match=message):
         decode_base(_one_band_payload(1 << 40, base.MAX_STEP))
 

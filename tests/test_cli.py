@@ -67,6 +67,13 @@ def test_overshoot_warning_goes_to_stderr(pgm, tmp_path, capsys):
     assert "warning:" not in captured.out
 
 
+def test_encode_infinite_target_exit_1(pgm, tmp_path, capsys):
+    out = tmp_path / "img.tlxs"
+    assert main(["encode", "--input", pgm, "--output", str(out), "--bpp", "inf"]) == 1
+    assert "target_bpp must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exit_2(capsys):
     assert main(["encode", "--frobnicate"]) == 2
     capsys.readouterr()
@@ -217,7 +224,7 @@ def _one_sample_predictive_component_of_65_bytes():
         ),
         (
             _one_sample_base_of_131097_bits,
-            "base payload: band L at bit 736: 131097 bits exceed any band of 1 samples",
+            "base component 0: band L at bit 736: 131097 bits exceed any band of 1 samples",
         ),
         (
             _predictive_component_of_1_byte,
@@ -296,7 +303,9 @@ def test_bench_grid_without_zero_exit_1(pgm, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "option", [["--grid", "0,abc"], ["--coders", "foo"]], ids=["grid", "coders"]
+    "option",
+    [["--grid", "0,abc"], ["--grid", "0,inf"], ["--coders", "foo"]],
+    ids=["grid", "grid_inf", "coders"],
 )
 def test_bench_bad_option_value_exit_1(pgm, tmp_path, capsys, option):
     csv_path = tmp_path / "x.csv"

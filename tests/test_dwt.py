@@ -16,6 +16,7 @@ from tlxs.dwt import (
 from tlxs.errors import CodecError
 
 from conftest import plane_arrays
+from reference import _merge_rows_oracle, decompose_oracle, recompose_oracle
 
 
 def _reflect(i, n):
@@ -43,82 +44,6 @@ def oracle_forward(x):
     high = [d(j) for j in range(nh)]
     low = [xe(2 * i) + (d(i - 1) + d(i) + 2) // 4 for i in range(nl)]
     return low, high
-
-
-def _split_rows_oracle(a):
-    """The concatenating row lifting that in-place axis lifting replaced."""
-    n = a.shape[1]
-    if n == 1:
-        return a.copy(), a[:, :0].copy()
-    even, odd = a[:, 0::2], a[:, 1::2]
-    nh = odd.shape[1]
-    if n % 2 == 0:
-        right = np.concatenate([even[:, 1:], even[:, -1:]], axis=1)
-    else:
-        right = even[:, 1 : nh + 1]
-    d = odd - (even[:, :nh] + right) // 2
-    if n % 2 == 0:
-        cur_d, prev_d = d, np.concatenate([d[:, :1], d[:, :-1]], axis=1)
-    else:
-        cur_d = np.concatenate([d, d[:, -1:]], axis=1)
-        prev_d = np.concatenate([d[:, :1], d], axis=1)
-    return even + (prev_d + cur_d + 2) // 4, d
-
-
-def _merge_rows_oracle(low, high):
-    nl, nh = low.shape[1], high.shape[1]
-    if nh == 0:
-        return low.copy()
-    n = nl + nh
-    if n % 2 == 0:
-        cur_d, prev_d = high, np.concatenate([high[:, :1], high[:, :-1]], axis=1)
-    else:
-        cur_d = np.concatenate([high, high[:, -1:]], axis=1)
-        prev_d = np.concatenate([high[:, :1], high], axis=1)
-    even = low - (prev_d + cur_d + 2) // 4
-    if n % 2 == 0:
-        right = np.concatenate([even[:, 1:], even[:, -1:]], axis=1)
-    else:
-        right = even[:, 1 : nh + 1]
-    out = np.empty((low.shape[0], n), dtype=np.int64)
-    out[:, 0::2] = even
-    out[:, 1::2] = high + (even[:, :nh] + right) // 2
-    return out
-
-
-def decompose_oracle(plane, levels_h, levels_v):
-    """``decompose`` as it was, with transposed copies for vertical passes."""
-    current = np.asarray(plane, dtype=np.int64)
-    stages = []
-    for stage in range(1, levels_h + 1):
-        low_h, high_h = _split_rows_oracle(current)
-        if stage <= levels_v:
-            ll, lh = (b.T for b in _split_rows_oracle(np.ascontiguousarray(low_h.T)))
-            hl, hh = (b.T for b in _split_rows_oracle(np.ascontiguousarray(high_h.T)))
-            stages.append([hl, lh, hh])
-            current = ll
-        else:
-            stages.append([high_h])
-            current = low_h
-    return [current] + [band for stage in reversed(stages) for band in stage]
-
-
-def recompose_oracle(bands, levels_h, levels_v):
-    def merge_cols(low, high):
-        low, high = (np.ascontiguousarray(b.T) for b in (low, high))
-        return _merge_rows_oracle(low, high).T
-
-    bands = [np.asarray(b, dtype=np.int64) for b in bands]
-    current, pos = bands[0], 1
-    for stage in range(levels_h, 0, -1):
-        if stage <= levels_v:
-            hl, lh, hh = bands[pos : pos + 3]
-            pos += 3
-            current = _merge_rows_oracle(merge_cols(current, lh), merge_cols(hl, hh))
-        else:
-            current = _merge_rows_oracle(current, bands[pos])
-            pos += 1
-    return current
 
 
 def test_constant_line_has_zero_detail():

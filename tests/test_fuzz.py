@@ -5,10 +5,11 @@ base, a 2-bpp base, a lossless base and a 3/1-level 0.5-bpp base) are mutated
 by bit flips, truncation, appended bytes, an overwritten byte, a run spliced
 inside a payload and a rewritten container-header byte, resealed or not. Each
 mutant goes through ``decode_two_layer``, ``decode_base_only`` and
-``tlxs inspect``. Every outcome must be a ``CodecError`` (exit status 1 with an
-``error:`` line for the command) or an image of the size, components and
-depth its container header declares, with every sample in range. PNM headers
-are mutated through ``parse_pnm`` the same way.
+``tlxs inspect``. Only a ``CodecError`` may escape (exit status 1 with an
+``error:`` line for the command), and each decode must reach the verdict of
+the reference decoder in ``reference.py``: both refuse the mutant, or both
+return the same image and the same ``lossless`` flag. PNM headers are mutated
+through ``parse_pnm`` the same way.
 
 The ``fuzz`` hypothesis profile in ``conftest.py`` runs many more examples:
 ``python -m pytest -q tests/test_fuzz.py --hypothesis-profile=fuzz``.
@@ -19,6 +20,7 @@ import functools
 import io
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -32,6 +34,7 @@ from tlxs.pnm import parse_pnm, serialize_pnm
 from tlxs.residual import LosslessCoderId
 from tlxs.synthetic import natural_image
 
+import reference
 from conftest import reseal
 
 CONFIGS = (
@@ -93,40 +96,47 @@ def mutants(draw):
     return bytes(blob)
 
 
-def _check_image(image, blob):
-    meta = demux(blob)[2]
-    assert (image.width, image.height) == (meta.width, meta.height)
-    assert (image.components, image.bit_depth) == (meta.components, meta.bit_depth)
-    for plane in image.planes:
-        assert plane.shape == (meta.height, meta.width)
-        assert 0 <= int(plane.min()) and int(plane.max()) <= image.max_sample
-
-
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _refusal(decode, blob):
-    """The ``CodecError`` that ``decode`` raises on ``blob``; None once its image checks out."""
+def _two_layer(blob):
+    result = decode_two_layer(blob)
+    return result.image.planes, result.image.bit_depth, result.lossless
+
+
+def _base_only(blob):
+    image = decode_base_only(blob)
+    return image.planes, image.bit_depth, False
+
+
+def _verdict(decode, blob):
+    """The ``CodecError`` that ``decode`` raises on ``blob``, or what it returns."""
     try:
-        image = decode(blob)
+        return decode(blob)
     except CodecError as err:
         return err
-    _check_image(image, blob)
-    return None
 
 
 @given(mutants())
 def test_mutated_containers_raise_only_codec_errors(workdir, blob):
-    refusal = _refusal(lambda b: decode_two_layer(b).image, blob)
-    base_refusal = _refusal(decode_base_only, blob)
+    pairs = ((_two_layer, reference.decode), (_base_only, reference.decode_base_only))
+    verdicts = [(_verdict(library, blob), _verdict(ref, blob)) for library, ref in pairs]
+    for got, want in verdicts:
+        # both refuse, or both return the same image and lossless flag
+        assert isinstance(got, CodecError) == isinstance(want, CodecError), (got, want)
+        if not isinstance(got, CodecError):
+            (planes, depth, lossless), (ref_planes, ref_depth, ref_lossless) = got, want
+            assert (depth, lossless, len(planes)) == (ref_depth, ref_lossless, len(ref_planes))
+            assert all(np.array_equal(p, q) for p, q in zip(planes, ref_planes))
     # a container or payload refusal names the part of the file it came from
     assert all(
-        str(err).startswith(("container", "base", "extension"))
-        for err in (refusal, base_refusal)
-        if isinstance(err, (BitstreamError, ContainerError))
+        str(got).startswith(("container", "base", "extension"))
+        for got, _ in verdicts
+        if isinstance(got, (BitstreamError, ContainerError))
     )
+    refusal = verdicts[0][0]
 
     path = workdir / "mutant.tlxs"
     path.write_bytes(blob)

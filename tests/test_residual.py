@@ -23,7 +23,6 @@ from tlxs.residual import (
     _unpredict,
     compute_residual,
     dc_shift,
-    dc_unshift,
     decode_extension,
     decode_predictive,
     decode_wavelet_lossless,
@@ -38,123 +37,17 @@ from tlxs.residual import (
 from tlxs.synthetic import natural_image
 
 from conftest import images, plane_arrays
+from reference import (
+    dc_unshift,
+    decode_predictive_oracle,
+    med_oracle,
+    oracle_ks,
+    scalar_prediction,
+)
 
 
 def _img(plane, depth):
     return PlanarImage.from_planes([np.asarray(plane)], depth)
-
-
-def med_oracle(a, b, c):
-    """Literal three-branch definition, kept independent of the implementation."""
-    if c >= max(a, b):
-        return min(a, b)
-    if c <= min(a, b):
-        return max(a, b)
-    return a + b - c
-
-
-def scalar_prediction(rows, y, x, depth):
-    """Prediction of sample (y, x) from ``rows``, by the predictive coder's convention."""
-    if y == 0 and x == 0:
-        return (1 << (depth - 1)) - 1
-    if y == 0:
-        return rows[0][x - 1]
-    if x == 0:
-        return rows[y - 1][0]
-    return med_oracle(rows[y][x - 1], rows[y - 1][x], rows[y - 1][x - 1])
-
-
-class RiceAdapterOracle:
-    """Per-sample running-mean Rice parameter: the reference k schedule."""
-
-    def __init__(self):
-        self.acc = 0
-        self.count = 0
-
-    def k(self):
-        mean = self.acc // self.count if self.count else 0
-        return min(mean.bit_length() - 1, rice.MAX_RICE_K) if mean > 0 else 0
-
-    def update(self, mapped):
-        self.acc += mapped
-        self.count += 1
-        if self.count == 64:
-            self.acc >>= 1
-            self.count >>= 1
-
-
-def oracle_ks(mapped):
-    adapter = RiceAdapterOracle()
-    ks = []
-    for m in mapped:
-        ks.append(adapter.k())
-        adapter.update(m)
-    return np.asarray(ks, dtype=np.int64)
-
-
-def decode_predictive_oracle(data, width, height, depth):
-    """The predictive decoder before prefix tables: one code per loop pass.
-
-    It raises the decoder's messages, each failure located from the code
-    being read: its sample and the bit it starts at. Samples are rebuilt one
-    at a time in Python ints, so the first out-of-range one is found without
-    narrowing any error.
-    """
-    if width < 1 or height < 1:
-        raise CodecError("empty plane dimensions")
-    count = width * height
-    nbits = 8 * len(data)
-    if count > nbits:  # every code takes at least one bit
-        raise BitstreamError(f"{len(data)} bytes cannot hold {count} samples")
-    if nbits > count * ((2 << depth) - 1) + 7:  # every code at most its k = 0 length
-        raise BitstreamError(f"{len(data)} bytes exceed any stream of {count} samples")
-    win = rice.byte_windows(data)
-    m64 = (1 << 64) - 1
-    max_k = rice.MAX_RICE_K
-    mapped = [0] * count
-    starts = [0] * count
-    acc = n = pos = 0
-    for i in range(count):
-        starts[i] = pos
-        k = (acc // (n or 1)).bit_length() - 1
-        if k < 0:
-            k = 0
-        elif k > max_k:
-            k = max_k
-        x = (win[pos >> 3] << (pos & 7)) & m64
-        q = 64 - (x ^ m64).bit_length()
-        m = 0
-        while q + k > 55:  # code may outrun the window's 57 sure bits: skip 32 ones
-            m += 32 << k
-            pos += 32
-            x = (win[pos >> 3] << (pos & 7)) & m64
-            q = 64 - (x ^ m64).bit_length()
-        used = q + 1 + k
-        m += (q << k) | ((x >> (64 - used)) & ((1 << k) - 1))
-        pos += used
-        if pos > nbits:
-            where = f"sample ({i // width}, {i % width}) at bit {starts[i]}"
-            raise BitstreamError(f"{where}: predictive stream truncated")
-        mapped[i] = m
-        acc += m
-        n += 1
-        if n == 64:
-            acc >>= 1
-            n = 32
-
-    if nbits - pos >= 8 or data[-1] & ((1 << (nbits - pos)) - 1):
-        raise BitstreamError(f"at bit {pos}: trailing data after predictive stream")
-    errors = rice.zigzag_unmap(np.asarray(mapped, dtype=np.int64)).tolist()
-    rows = [[0] * width for _ in range(height)]
-    for i, error in enumerate(errors):
-        y, x = divmod(i, width)
-        sample = scalar_prediction(rows, y, x, depth) + error
-        if not 0 <= sample < 1 << depth:
-            raise BitstreamError(
-                f"sample ({y}, {x}) at bit {starts[i]}: decoded samples out of range"
-            )
-        rows[y][x] = sample
-    return np.array(rows)
 
 
 def assert_decodes_like_oracle(data, width, height, depth):
@@ -220,11 +113,6 @@ class TestResidualAlgebra:
         with pytest.raises(CodecError):
             dc_shift(r)
 
-    def test_unshift_rejects_unshifted(self):
-        r = ResidualPlane.from_samples(np.zeros((1, 1), dtype=np.int64), 9, False)
-        with pytest.raises(CodecError):
-            dc_unshift(r)
-
     @pytest.mark.parametrize("value", [2**32 + 5, 2**32 - 1, -(2**32) + 5])
     def test_values_that_would_wrap_in_int32_rejected(self, value):
         for shifted in (False, True):
@@ -236,7 +124,7 @@ class TestResidualAlgebra:
         a, b = (_img(rng.integers(0, 4096, (5, 7)), 12) for _ in range(2))
         [residual] = compute_residual(a, b)
         shifted = dc_shift(residual)
-        for plane in (residual, shifted, dc_unshift(shifted)):
+        for plane in (residual, shifted):
             assert plane.samples.dtype == np.int32
         samples = shifted.samples
         payloads = (encode_predictive(samples, 13), encode_wavelet_lossless(samples, 13))
@@ -244,16 +132,14 @@ class TestResidualAlgebra:
             out = decode(payload, 7, 5, 13)
             assert out.dtype == np.int32 and np.array_equal(out, shifted.samples)
 
-    @pytest.mark.parametrize("step", ["residual", "shift", "unshift"])
+    @pytest.mark.parametrize("step", ["residual", "shift"])
     def test_fresh_residual_planes_are_adopted_not_copied(self, step):
         original = natural_image(512, 512, 8)
         base = natural_image(512, 512, 8, seed=9)
         [residual] = compute_residual(original, base)
-        shifted = dc_shift(residual)
         call = {
             "residual": lambda: compute_residual(original, base),
             "shift": lambda: dc_shift(residual),
-            "unshift": lambda: dc_unshift(shifted),
         }[step]
         tracemalloc.start()
         try:
@@ -298,10 +184,13 @@ class TestResidualAlgebra:
             img.bit_depth,
         )
         for comp, residual in enumerate(compute_residual(img, other)):
-            unshifted = dc_unshift(dc_shift(residual))
-            assert unshifted == residual
-            restored = other.planes[comp] + unshifted.samples
-            assert np.array_equal(restored, img.planes[comp])
+            shifted = dc_shift(residual)
+            fields = (shifted.width, shifted.height, shifted.depth, shifted.shifted)
+            assert fields == (residual.width, residual.height, residual.depth, True)
+            assert residual.depth == img.bit_depth + 1 and not residual.shifted
+            unshifted = dc_unshift(shifted.samples, shifted.depth)
+            assert np.array_equal(unshifted, residual.samples)
+            assert np.array_equal(other.planes[comp] + unshifted, img.planes[comp])
 
     def test_shape_mismatch_rejected(self):
         a = _img(np.zeros((2, 2), dtype=np.int64), 8)
